@@ -131,11 +131,11 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-attempts", type=int, default=1, metavar="N",
         help="run each unit up to N times before quarantining it "
-             "(default 1 = fail fast; >1 enables worker supervision)")
+             "(default 1 = fail fast)")
     p.add_argument(
         "--unit-timeout", type=float, default=None, metavar="SECS",
         help="per-unit wall-clock deadline; a worker exceeding it is "
-             "killed and the unit retried (enables worker supervision)")
+             "killed and the unit retried")
     p.add_argument(
         "--degrade", action="store_true",
         help="complete the campaign even when units are quarantined, "
@@ -232,8 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "`repro experiment --distributed`)")
     p_worker.add_argument(
         "--queue-dir", required=True, metavar="DIR",
-        help="shard-queue directory (or redis:// URL) shared with the "
-             "coordinator")
+        help="shard-queue directory shared with the coordinator")
     p_worker.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="shared artifact-store root — the coordinator's "
@@ -529,11 +528,17 @@ def _resolve_cache(args):
     return ResultCache(os.path.expanduser(root))
 
 
-def _supervision_policy(args):
-    """The supervision policy the experiment flags ask for, or ``None``."""
+def _supervision_policy(args, force: bool = False):
+    """The supervision policy the experiment flags ask for, or ``None``.
+
+    ``force`` builds the policy even when the flags ask for none, so a
+    run that needs supervised workers (health monitoring) still takes
+    every retry decision from the flags: one attempt and no deadline
+    unless they say otherwise.
+    """
     from .runner import RetryBudget, SupervisionPolicy
 
-    if args.max_attempts <= 1 and args.unit_timeout is None \
+    if not force and args.max_attempts <= 1 and args.unit_timeout is None \
             and not args.degrade:
         return None
     return SupervisionPolicy(
@@ -610,15 +615,10 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
         print("--resume needs a result cache: pass --cache-dir or set "
               "$REPRO_CACHE_DIR", file=sys.stderr)
         return 2
-    supervision = _supervision_policy(args)
     health_on = dashboard or getattr(args, "health", False)
-    if health_on and supervision is None:
-        # heartbeats only exist under worker supervision; health without
-        # an explicit policy gets the default one (1 attempt, no timeout
-        # — behavior matches unsupervised runs, workers just beat)
-        from .runner import SupervisionPolicy
-
-        supervision = SupervisionPolicy()
+    # heartbeats only exist under worker supervision, so health forces a
+    # policy, built from the same flags: it changes no retry decision
+    supervision = _supervision_policy(args, force=health_on)
     sharding = None
     if (args.shards is not None or args.sessions is not None
             or args.shard_size is not None or args.distributed):

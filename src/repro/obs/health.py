@@ -4,7 +4,7 @@ Supervision (:mod:`repro.runner.supervise`) only learns that a worker
 is gone when its process exits or its unit blows the wall-clock
 ``unit_timeout`` — for a wedged-but-alive worker that can be minutes
 away.  This module watches the gap: every supervised worker emits a
-periodic heartbeat ``(units_done, rss_kb)`` on a dedicated queue, and a
+periodic heartbeat ``(units_done, rss_kb)`` on a dedicated pipe, and a
 :class:`HealthMonitor` in the parent folds those beats (plus the
 supervisor's assign/settle notifications) into per-worker lanes —
 last-beat age, units/s EWMA, RSS watermark, current unit — and raises

@@ -3,7 +3,7 @@
 The paper's dataset is thousands of captures; reproducing its tables
 replays dozens of independent seeded sessions per figure.  This package
 makes that campaign layer a property of the framework instead of each
-experiment: plans fan out over a ``multiprocessing`` pool, completed
+experiment: plans fan out over supervised worker processes, completed
 results memoize into an on-disk cache keyed by (video, config, code
 version), and ordering/seeding guarantees make ``jobs=N`` byte-identical
 to ``jobs=1``.
@@ -37,7 +37,7 @@ Public API:
   (:mod:`repro.runner.sharding`): deterministic shards through the
   supervised pool, shard-level artifacts, streaming reduction.
 * :class:`DistPolicy`, :class:`ShardQueue`, :class:`FileShardQueue`,
-  :class:`WorkerOptions`, :func:`run_worker`, :func:`make_queue` — the
+  :class:`WorkerOptions`, :func:`run_worker` — the
   distributed shard fabric (:mod:`repro.runner.dist`): a lease-based
   work queue over shared storage, ``repro worker`` processes that
   drain it, and a coordinator that reduces artifacts as they land.
@@ -50,7 +50,6 @@ from .dist import (
     ShardQueue,
     WorkerOptions,
     WorkerStats,
-    make_queue,
     run_worker,
 )
 from .fingerprint import (
@@ -129,7 +128,6 @@ __all__ = [
     "engine_options",
     "fingerprint",
     "list_journals",
-    "make_queue",
     "merge_options",
     "plan_fingerprint",
     "run_sessions",

@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..pool import current_options
 from ..sharding import ShardSpec, ShardStore
 from ..supervise import CampaignAborted, FailedUnit, FailureReport, UnitFailure
-from .queue import ShardQueue, make_queue
+from .queue import FileShardQueue, ShardQueue
 
 __all__ = [
     "DistPolicy",
@@ -60,8 +60,7 @@ __all__ = [
 class DistPolicy:
     """The distributed-execution policy (``EngineOptions.dist``).
 
-    ``queue`` is the transport spec (a shared directory, or a
-    ``redis://`` URL once that backend lands); ``workers`` is how many
+    ``queue`` is the shared queue directory; ``workers`` is how many
     local drain-mode workers the coordinator spawns — zero means the
     fleet is entirely external (other terminals, other hosts).
     ``max_attempts``/``unit_timeout`` are forwarded to each spawned
@@ -217,7 +216,8 @@ def run_shards_distributed(
             "--cache-dir (or engine_options(cache=...)) so workers and "
             "the coordinator see the same ShardStore")
     if queue is None:
-        queue = make_queue(policy.queue, ttl=policy.ttl)
+        queue = FileShardQueue(os.path.expanduser(policy.queue),
+                               ttl=policy.ttl)
     observer = options.observer
     journal = options.journal
     failures = options.failures

@@ -27,6 +27,7 @@ never a fixed fraction of the campaign.
 
 from __future__ import annotations
 
+import os
 import pickle
 import sys
 import threading
@@ -37,7 +38,7 @@ from typing import Optional
 from ..pool import RunStats, engine_options, run_tasks
 from ..sharding import ShardStore, _shard_call
 from ..supervise import FailedUnit, RetryBudget, SupervisionPolicy
-from .queue import ShardQueue, default_worker_id, make_queue
+from .queue import FileShardQueue, ShardQueue, default_worker_id
 
 __all__ = [
     "LeaseHeartbeat",
@@ -92,7 +93,7 @@ class WorkerOptions:
     executes (tests, canary workers).
     """
 
-    queue: str                       # directory path or redis:// URL
+    queue: str                       # shared queue directory
     cache_dir: str                   # shared store root (same as coordinator)
     worker_id: Optional[str] = None  # default: <host>-<pid>
     ttl: float = 30.0
@@ -146,7 +147,8 @@ def run_worker(options: WorkerOptions,
     of waiting out the TTL).
     """
     if queue is None:
-        queue = make_queue(options.queue, ttl=options.ttl)
+        queue = FileShardQueue(os.path.expanduser(options.queue),
+                               ttl=options.ttl)
     store = ShardStore(options.cache_dir)
     worker_id = options.worker_id or default_worker_id()
     policy = _policy(options)

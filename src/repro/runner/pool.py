@@ -6,11 +6,11 @@ builds a private network whose RNG streams derive from ``config.seed``
 (see :func:`repro.simnet.rng.derive_seed`), never from shared state.  The
 engine exploits exactly that:
 
-* ``run_sessions(plans)`` executes a batch over a ``multiprocessing``
-  pool of ``jobs`` workers and returns results **in plan order** — the
-  pool's ``map`` reassembles completion-order results by input index, so
-  the output is byte-identical to a serial run regardless of worker
-  scheduling.
+* ``run_sessions(plans)`` executes a batch over ``jobs`` supervised
+  worker processes (:func:`~repro.runner.supervise.run_supervised`) and
+  returns results **in plan order** — completion-order results are
+  reassembled by input index, so the output is byte-identical to a
+  serial run regardless of worker scheduling.
 * With a :class:`~repro.runner.cache.ResultCache`, each plan is first
   looked up by content fingerprint (video + config + code version); only
   misses are simulated, and their results are stored for the next run.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
-import multiprocessing
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -50,6 +49,7 @@ from .supervise import (
     CHAOS_ENV,
     CampaignAborted,
     FailureReport,
+    RetryBudget,
     SupervisionPolicy,
     UnitFailure,
     chaos_hook,
@@ -203,9 +203,10 @@ class EngineOptions:
     """Ambient engine configuration (see :func:`engine_options`).
 
     ``supervision``/``journal``/``failures`` form the durability layer:
-    a :class:`~repro.runner.supervise.SupervisionPolicy` routes cache
-    misses through supervised worker processes (deadlines, retries,
-    quarantine), a :class:`~repro.runner.journal.CampaignJournal`
+    a :class:`~repro.runner.supervise.SupervisionPolicy` sets the
+    deadlines, retries and quarantine of supervised worker processes
+    (and sends even ``jobs=1`` batches through them), a
+    :class:`~repro.runner.journal.CampaignJournal`
     receives a write-ahead record as each unit settles, and a
     :class:`~repro.runner.supervise.FailureReport` accumulates whatever
     was quarantined.  ``sharding`` is the campaign-scaling layer: a
@@ -222,7 +223,7 @@ class EngineOptions:
     :class:`~repro.runner.dist.DistPolicy` that re-routes
     :func:`~repro.runner.sharding.run_shards` batches through the
     lease-based shard queue and its worker fleet instead of the local
-    pool (typed ``Any`` to keep the ``dist`` subpackage a lazy import).
+    workers (typed ``Any`` to keep the ``dist`` subpackage a lazy import).
     Everything defaults to off/None — the engine then behaves exactly
     as it always has.
     """
@@ -362,74 +363,34 @@ def _call_task(payload: Tuple[Callable[..., Any], tuple, bool]):
     return fn(*args)
 
 
-def _pool_context():
-    # fork starts in milliseconds and inherits sys.path; spawn is the
-    # portable fallback (macOS/Windows default)
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+#: The policy of a parallel batch that asked for none: one attempt, no
+#: deadline, and a failing unit aborts the batch once it settles.
+_UNSUPERVISED = SupervisionPolicy(retry=RetryBudget(max_attempts=1))
 
 
-def _indexed_call(payload: Tuple[int, Callable[[Any], Any], Any]):
-    """Pool shim tagging each result with its input index, so the parent
-    can persist results in *completion* order and still reassemble the
-    plan-ordered list."""
-    index, worker, item = payload
-    return index, worker(item)
+def _run_inline(worker: Callable[[Any], Any], items: Sequence[Any],
+                observer: NullRunObserver = NULL_OBSERVER,
+                on_unit: Optional[Callable[[int, Any], None]] = None
+                ) -> List[Any]:
+    """Run ``worker`` over ``items`` in this process, in input order.
 
-
-def _execute(worker: Callable[[Any], Any], items: Sequence[Any],
-             jobs: int, observer: NullRunObserver = NULL_OBSERVER,
-             on_unit: Optional[Callable[[int, Any], None]] = None) -> List[Any]:
-    """Run ``worker`` over ``items``, preserving input order.
-
-    ``jobs=1`` (the default everywhere) runs inline — no pool, no pickle
-    round-trip — so tests and single-session experiments pay nothing.
-    The parallel path calls the *same* worker function on the same
-    arguments; results only travel through a pickle round-trip, which is
-    lossless for session results, so outputs are identical bytewise.
-
+    The reference path for ``jobs=1`` and single-unit batches: no worker
+    process, no pickle round-trip, and the first exception propagates.
     ``on_unit(index, result)`` is the durability hook: it fires as each
-    unit completes (completion order in the parallel path), letting the
-    caller persist results incrementally so a killed campaign keeps what
-    it already computed.
+    unit completes, letting the caller persist results incrementally so
+    a killed campaign keeps what it already computed.
     """
-    if jobs <= 1 or len(items) <= 1:
-        if observer.enabled or on_unit is not None:
-            results = []
-            for index, item in enumerate(items):
-                result = worker(item)
-                if on_unit is not None:
-                    on_unit(index, result)
-                if observer.enabled:
-                    observer.unit_finished(result)
-                results.append(result)
-            return results
+    if not observer.enabled and on_unit is None:
         return [worker(item) for item in items]
-    # An explicit jobs=N request spawns N workers even when os.cpu_count()
-    # is lower: oversubscription costs little for these CPU-bound sessions,
-    # and the parallel code path (fork + pickle round-trip) must behave
-    # identically everywhere for the jobs=N == jobs=1 guarantee to be
-    # testable on any machine.
-    processes = min(jobs, len(items))
-    with _pool_context().Pool(processes=processes) as pool:
-        # chunksize=1: sessions vary widely in cost (a 16-cell Table 1
-        # batch mixes 30 s bulk transfers with 180 s Netflix sessions),
-        # so fine-grained dispatch keeps the stragglers from serializing
-        if observer.enabled or on_unit is not None:
-            # imap_unordered yields completion-order results, so a
-            # straggler never delays persisting the units that finished
-            # after it; the index tag restores plan order.
-            results: List[Any] = [None] * len(items)
-            indexed = [(i, worker, item) for i, item in enumerate(items)]
-            for index, result in pool.imap_unordered(_indexed_call, indexed,
-                                                     chunksize=1):
-                if on_unit is not None:
-                    on_unit(index, result)
-                if observer.enabled:
-                    observer.unit_finished(result)
-                results[index] = result
-            return results
-        return pool.map(worker, items, chunksize=1)
+    results = []
+    for index, item in enumerate(items):
+        result = worker(item)
+        if on_unit is not None:
+            on_unit(index, result)
+        if observer.enabled:
+            observer.unit_finished(result)
+        results.append(result)
+    return results
 
 
 def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
@@ -447,11 +408,12 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
 
     Every unit that completes is persisted (cache + journal) *as it
     completes*, not after the batch — a campaign killed mid-batch keeps
-    everything already simulated.  With a ``supervision`` policy, cache
-    misses run under :func:`~repro.runner.supervise.run_supervised`
-    (deadlines, retries, quarantine) instead of the plain pool; a
-    ``health`` monitor additionally receives worker heartbeats and unit
-    lifecycle notifications there (report-only).
+    everything already simulated.  Cache misses run inline when there is
+    no ``supervision`` policy and ``jobs=1`` or a single miss; otherwise
+    they run under :func:`~repro.runner.supervise.run_supervised`, with
+    :data:`_UNSUPERVISED` standing in for a missing policy.  A
+    ``health`` monitor receives worker heartbeats and unit lifecycle
+    notifications there (report-only).
     """
     results: List[Any] = [None] * len(items)
     pending = list(range(len(items)))
@@ -485,27 +447,25 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
                 journal.done(keys[i])
 
     pending_items = [items[i] for i in pending]
-    if supervision is None:
+    if supervision is None and (jobs <= 1 or len(pending) <= 1):
         # incremental persistence only matters when there is somewhere
         # durable to persist to; otherwise keep the plain fast path
         on_unit = (persist if keys is not None
                    and (cache is not None or journal is not None) else None)
         if rec.enabled:
             with rec.span("engine.execute"):
-                computed = _execute(worker, pending_items, jobs, observer,
-                                    on_unit)
+                computed = _run_inline(worker, pending_items, observer,
+                                       on_unit)
         else:
-            computed = _execute(worker, pending_items, jobs, observer,
-                                on_unit)
+            computed = _run_inline(worker, pending_items, observer, on_unit)
         for i, result in zip(pending, computed):
             results[i] = result
-            if on_unit is None and cache is not None and keys is not None:
-                cache.put(keys[i], result)
         if stats is not None:
             stats.add(len(items), len(items) - len(pending))
         return results
 
     # -- supervised path ------------------------------------------------------
+    policy = supervision or _UNSUPERVISED
     describe_local = ((lambda li: describe(pending[li]))
                       if describe is not None else None)
     keys_local = [keys[i] for i in pending] if keys is not None else None
@@ -532,7 +492,7 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
 
     def run() -> Tuple[List[Any], List[UnitFailure], int]:
         return run_supervised(
-            worker, pending_items, jobs=jobs, policy=supervision,
+            worker, pending_items, jobs=jobs, policy=policy,
             describe=describe_local, keys=keys_local,
             on_done=on_done, on_failure=on_failure, health=health)
 
@@ -549,10 +509,12 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
         stats.failed += len(quarantined)
     if failures is not None:
         failures.retries += retries
-    if rec.enabled:
+    if rec.enabled and supervision is not None:
+        # a batch without a policy never retries; its counters stay
+        # those of the inline path, so jobs=N telemetry equals jobs=1
         rec.inc("engine.retries", retries)
         rec.inc("engine.quarantined", len(quarantined))
-    if quarantined and not supervision.degrade:
+    if quarantined and not policy.degrade:
         # the ambient report (when installed) already holds the batch's
         # quarantines via on_failure; raise with it so callers see one
         # accumulated account, not a per-batch fragment

@@ -1,10 +1,9 @@
-"""Worker supervision: deadlines, retries with backoff, and quarantine.
+"""Worker supervision: the engine's parallel executor and fault boundary.
 
-The plain engine path (:func:`repro.runner.pool._execute`) assumes a
-perfect world: every unit returns, no worker hangs, no process dies.
-Long campaigns break that assumption — a single stuck session or a
-worker OOM-killed by the OS used to stall or abort the whole run.  This
-module is the engine's fault boundary:
+Every parallel batch the engine runs goes through :func:`run_supervised`.
+Long campaigns cannot assume a perfect world — a single stuck session
+or a worker OOM-killed by the OS used to stall or abort the whole run —
+so this module is the engine's fault boundary:
 
 * every unit runs in a *supervised worker process* with a wall-clock
   deadline; a worker that exceeds it is killed and respawned;
@@ -18,9 +17,11 @@ module is the engine's fault boundary:
   (unit keys, exception tracebacks, retry counts) so partial results
   degrade *loudly*, never silently.
 
-Supervision is opt-in (``EngineOptions.supervision``); without a policy
-the engine keeps its zero-overhead inline/pool paths and its exact
-historical semantics (first exception propagates).
+The policy is ambient (``EngineOptions.supervision``).  A parallel
+batch without one runs under a one-attempt, no-deadline policy, so a
+failing unit raises :class:`CampaignAborted` once the batch settles;
+``jobs=1`` and single-unit batches without a policy run inline, where
+the first exception propagates.
 
 The module also hosts the chaos hooks (``$REPRO_CHAOS``) used by the
 chaos-smoke CI job and the durability tests to inject worker crashes,
@@ -30,13 +31,18 @@ poison units, and campaign kills deterministically.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import multiprocessing
 import os
 import sys
 import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from multiprocessing.connection import wait
+from multiprocessing.reduction import ForkingPickler
+from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 __all__ = [
     "CampaignAborted",
@@ -91,7 +97,6 @@ class SupervisionPolicy:
     unit_timeout: Optional[float] = None
     retry: RetryBudget = field(default_factory=RetryBudget)
     degrade: bool = False
-    poll_interval: float = 0.05
 
 
 @dataclass
@@ -283,6 +288,25 @@ def chaos_mark_done(key: str) -> None:
 
 # -- the supervisor -----------------------------------------------------------
 
+#: Units a worker holds at once: the one it runs plus one queued behind
+#: it, so a worker starts its next unit without a round trip to the
+#: supervisor.
+_DEPTH = 2
+
+#: A unit is queued behind a running one only if its pickled message is
+#: this small: a message larger than the pipe buffer would block the
+#: supervisor in ``send`` until the worker finished its running unit,
+#: and with it every deadline check.
+_AHEAD_BYTES = 16 * 1024
+
+
+def _context():
+    # fork starts in milliseconds and inherits sys.path; spawn is the
+    # portable fallback (macOS/Windows default)
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
 def _worker_rss_kb() -> int:
     """Peak RSS of this worker process, in kB (0 where unsupported)."""
     try:
@@ -306,8 +330,8 @@ def _beat_emitter(beats, interval: float, counter) -> None:
     while True:
         time.sleep(interval)
         try:
-            beats.put((counter[0], _worker_rss_kb()))
-        except Exception:  # parent gone / queue closed: nothing to tell
+            beats.send((counter[0], _worker_rss_kb()))
+        except Exception:  # parent gone / pipe closed: nothing to tell
             return
 
 
@@ -315,78 +339,83 @@ def _supervised_worker_main(worker: Callable[[Any], Any], inbox, outbox,
                             beats=None, beat_interval: float = 1.0) -> None:
     """Loop of one supervised worker process: run units until told to stop.
 
-    Results and exceptions both travel back through ``outbox``; an
-    abrupt death (crash, kill, chaos) is detected by the supervisor
-    through the process exit code instead.  When health monitoring is
-    on, ``beats`` is a dedicated queue fed by a daemon heartbeat thread
-    — separate from ``outbox`` so a torn result pickle can never corrupt
-    the liveness channel (or vice versa).
+    Units arrive on ``inbox`` and are run in arrival order.  Results and
+    exceptions both travel back through ``outbox``; an abrupt death
+    (crash, kill, chaos) is detected by the supervisor through the
+    process sentinel instead.  When health monitoring is on, ``beats``
+    is a dedicated pipe fed by a daemon heartbeat thread — separate from
+    ``outbox`` so a torn result pickle can never corrupt the liveness
+    channel (or vice versa).
     """
     counter = [0]  # units completed, shared with the heartbeat thread
     if beats is not None:
+        try:
+            beats.send((0, _worker_rss_kb()))  # birth beat: alive before work
+        except Exception:
+            pass
         threading.Thread(target=_beat_emitter,
                          args=(beats, beat_interval, counter),
                          daemon=True).start()
-        try:
-            beats.put((0, _worker_rss_kb()))  # birth beat: alive before work
-        except Exception:
-            pass
     while True:
-        message = inbox.get()
+        try:
+            message = inbox.recv()
+        except EOFError:  # the supervisor is gone
+            return
         if message is None:
             return
         index, item = message
         try:
             value = worker(item)
         except BaseException as exc:  # noqa: BLE001 — attribute, don't die
-            outbox.put((index, "err", f"{type(exc).__name__}: {exc}",
-                        traceback.format_exc()))
+            outbox.send((index, "err", f"{type(exc).__name__}: {exc}",
+                         traceback.format_exc()))
         else:
             try:
-                outbox.put((index, "ok", value))
+                outbox.send((index, "ok", value))
                 counter[0] += 1
             except Exception as exc:  # unpicklable result
-                outbox.put((index, "err",
-                            f"result not picklable: {exc!r}",
-                            traceback.format_exc()))
+                outbox.send((index, "err",
+                             f"result not picklable: {exc!r}",
+                             traceback.format_exc()))
 
 
 class _Worker:
     """Supervisor-side handle for one worker process.
 
-    Each worker owns a private result pipe: a process killed mid-write
-    can only corrupt *its own* queue, which the supervisor discards when
-    it respawns the worker — a shared queue would poison the whole
-    batch.
+    Each worker owns private one-way pipes: units in, results out, and
+    heartbeats out when health monitoring asked for them.  The
+    supervisor closes its copies of the worker's ends right after the
+    start, so a dead worker reads as end-of-file, and a process killed
+    mid-write can only tear *its own* result pipe, which the supervisor
+    discards when it respawns the worker.
     """
 
     def __init__(self, context, target,
                  beat_interval: Optional[float] = None) -> None:
-        self.inbox = context.SimpleQueue()
-        self.outbox = context.SimpleQueue()
-        # the heartbeat channel is as private as the result pipe, and
-        # only exists when health monitoring asked for it
-        self.beats = context.SimpleQueue() if beat_interval is not None else None
-        args = (target, self.inbox, self.outbox)
-        if self.beats is not None:
-            args = args + (self.beats, beat_interval)
+        inbox, self.inbox = context.Pipe(duplex=False)
+        self.results, outbox = context.Pipe(duplex=False)
+        args = (target, inbox, outbox)
+        child_ends = [inbox, outbox]
+        self.beats = None
+        if beat_interval is not None:
+            self.beats, beats = context.Pipe(duplex=False)
+            args = args + (beats, beat_interval)
+            child_ends.append(beats)
         self.process = context.Process(
             target=_supervised_worker_main, args=args, daemon=True)
         self.process.start()
-        self.unit: Optional[int] = None      # batch index being run
-        self.started_at: float = 0.0
+        for end in child_ends:
+            end.close()
+        self.units: Deque[int] = deque()  # running unit first, then queued
+        self.started_at: float = 0.0      # when the running unit started
 
-    @property
-    def idle(self) -> bool:
-        return self.unit is None
-
-    def assign(self, index: int, item: Any) -> None:
-        self.unit = index
-        self.started_at = time.monotonic()
-        self.inbox.put((index, item))
-
-    def dead(self) -> bool:
-        return self.process.exitcode is not None
+    def send(self, message: bytes) -> bool:
+        """Queue one pickled unit; ``False`` when the worker is gone."""
+        try:
+            self.inbox.send_bytes(message)
+        except OSError:
+            return False
+        return True
 
     def kill(self) -> None:
         """Terminate the process, escalating to SIGKILL if it lingers."""
@@ -398,11 +427,11 @@ class _Worker:
 
     def stop(self) -> None:
         """Ask the process to exit cleanly; kill it if it does not."""
-        if self.dead():
+        if self.process.exitcode is not None:
             return
         try:
-            self.inbox.put(None)
-        except Exception:
+            self.inbox.send(None)
+        except OSError:
             pass
         self.process.join(timeout=1.0)
         if self.process.is_alive():
@@ -433,32 +462,35 @@ def run_supervised(
 
     ``health`` (a :class:`~repro.obs.health.HealthMonitor`, duck-typed
     because the runner never imports ``repro.obs``) turns on the
-    heartbeat channel: each worker gains a dedicated beat queue and a
+    heartbeat channel: each worker gains a dedicated beat pipe and a
     daemon emitter thread, and the supervisor drains beats and notifies
-    the monitor of every assign / completion / failure / death.  Every
+    the monitor of every start / completion / failure / death.  Every
     monitor call is report-only — retry and quarantine decisions are
     identical with ``health=None``.
 
-    Unlike the plain pool, every unit — even under ``jobs=1`` — runs in
-    a child process, which is what makes crash containment and deadline
-    kills possible at all.
+    Every unit — even under ``jobs=1`` — runs in a child process, which
+    is what makes crash containment and deadline kills possible at all.
+    The supervisor never polls: it blocks on the workers' result pipes,
+    process sentinels and heartbeat pipes until the nearest unit
+    deadline, backoff expiry or heartbeat check.  Each worker holds one
+    unit queued behind its running one; a queued unit's deadline starts
+    when its predecessor's result arrives, and a worker that crashes or
+    times out hands its queued unit back uncharged.
     """
-    from .pool import _pool_context  # late: avoid import cycle
-
     total = len(items)
     results: List[Any] = [None] * total
     if total == 0:
         return results, [], 0
     describe = describe or (lambda i: f"unit {i}")
-    context = _pool_context()
+    context = _context()
     budget = policy.retry
     retries_left = budget.total if budget.total is not None else None
 
     attempts = [0] * total
-    done = [False] * total
+    remaining = total
     quarantined: List[UnitFailure] = []
     retries_spent = 0
-    # (eligible_at, index): units waiting for a free worker / backoff
+    # heap of (eligible_at, index): units waiting for a worker / backoff
     ready: List[Tuple[float, int]] = [(0.0, i) for i in range(total)]
     beat_interval = (getattr(health, "beat_interval", 1.0)
                      if health is not None else None)
@@ -469,11 +501,54 @@ def run_supervised(
         for slot, handle in enumerate(workers):
             health.worker_started(lanes[slot], handle.process.pid)
 
+    def _start(slot: int, index: int, now: float) -> None:
+        """``index`` became the running unit of worker ``slot``."""
+        workers[slot].started_at = now
+        if health is not None:
+            health.unit_started(lanes[slot], index, describe(index),
+                                keys[index] if keys is not None else None)
+
+    def _dispatch(now: float) -> None:
+        # fill idle workers first, then queue one unit behind each
+        for depth in range(_DEPTH):
+            for slot, handle in enumerate(workers):
+                if len(handle.units) != depth:
+                    continue
+                if not ready or ready[0][0] > now:
+                    return
+                eligible, index = ready[0]
+                message = ForkingPickler.dumps((index, items[index]))
+                if depth and len(message) > _AHEAD_BYTES:
+                    return  # waits for a worker to go idle
+                heapq.heappop(ready)
+                if not handle.send(message):
+                    # dead worker: its sentinel settles it next round
+                    heapq.heappush(ready, (eligible, index))
+                    continue
+                handle.units.append(index)
+                if depth == 0:
+                    _start(slot, index, now)
+
+    def _timeout(now: float) -> Optional[float]:
+        waits = []
+        if policy.unit_timeout is not None:
+            waits.extend(handle.started_at + policy.unit_timeout - now
+                         for handle in workers if handle.units)
+        # a backoff expiry only matters while some worker can take the
+        # unit: counting it with every worker full would busy-spin
+        if (ready and ready[0][0] > now
+                and any(len(handle.units) < _DEPTH for handle in workers)):
+            waits.append(ready[0][0] - now)
+        if beat_interval is not None:
+            waits.append(beat_interval)
+        return max(0.0, min(waits)) if waits else None
+
     def _quarantine(failure: UnitFailure) -> None:
+        nonlocal remaining
         failure.final = True
         quarantined.append(failure)
         results[failure.index] = FailedUnit(failure)
-        done[failure.index] = True
+        remaining -= 1
         if on_failure is not None:
             on_failure(failure)
 
@@ -503,113 +578,107 @@ def run_supervised(
         if retries_left is not None:
             retries_left -= 1
         eligible = time.monotonic() + budget.delay(attempts[index])
-        ready.append((eligible, index))
+        heapq.heappush(ready, (eligible, index))
 
-    def _respawn(slot: int) -> None:
+    def _settle(slot: int, kind: str, error: str) -> None:
+        """A worker died or blew its deadline: respawn it, charge its
+        running unit, and hand its queued unit back uncharged."""
+        handle = workers[slot]
+        running = handle.units.popleft() if handle.units else None
+        for index in handle.units:
+            heapq.heappush(ready, (0.0, index))
+        if health is not None:
+            health.worker_lost(lanes[slot], handle.process.pid, kind, error,
+                               running)
         workers[slot] = _Worker(context, worker, beat_interval)
         if health is not None:
             health.worker_started(lanes[slot], workers[slot].process.pid)
+        if running is not None:
+            _failed_attempt(running, kind, error, "", lane=lanes[slot])
 
-    def _settle(slot: int, kind: str, error: str) -> None:
-        """A worker crashed or blew its deadline: respawn, charge the unit."""
-        index = workers[slot].unit
-        if health is not None:
-            health.worker_lost(lanes[slot], workers[slot].process.pid,
-                               kind, error, index)
-        _respawn(slot)
-        if index is not None and not done[index]:
-            _failed_attempt(index, kind, error, "", lane=lanes[slot])
+    def _drain_results(slot: int) -> bool:
+        """Settle every result waiting on worker ``slot``'s pipe;
+        ``False`` when the pipe reached end-of-file (the worker died)."""
+        nonlocal remaining
+        handle = workers[slot]
+        while handle.results.poll():
+            try:
+                index, status, *payload = handle.results.recv()
+            except (EOFError, OSError):
+                return False
+            except Exception as exc:
+                # a torn pickle from a dying writer: the pipe is
+                # unusable — treat as a crash of the running unit
+                handle.kill()
+                _settle(slot, "crash", f"result pipe corrupted: {exc!r}")
+                return True
+            handle.units.popleft()
+            # the queued unit's deadline runs from the result's arrival,
+            # but it is started only once the finished unit is settled:
+            # the monitor's lane still describes the finished unit
+            now = time.monotonic()
+            if status == "ok":
+                remaining -= 1
+                results[index] = payload[0]
+                if health is not None:
+                    health.unit_finished(lanes[slot], index)
+                if on_done is not None:
+                    on_done(index, payload[0])
+            else:
+                _failed_attempt(index, "exception", *payload,
+                                lane=lanes[slot])
+            if handle.units:
+                _start(slot, handle.units[0], now)
+        return True
+
+    def _drain_beats(slot: int) -> None:
+        handle = workers[slot]
+        try:
+            while handle.beats.poll():
+                units_done, rss_kb = handle.beats.recv()
+                health.beat(lanes[slot], handle.process.pid, units_done,
+                            rss_kb)
+        except Exception:
+            pass  # torn beat from a dying worker: drop it
 
     try:
-        while not all(done):
-            now = time.monotonic()
-            progressed = False
-            # drain heartbeats (liveness only — never gates scheduling)
+        while remaining:
+            _dispatch(time.monotonic())
+            waitables = {}
+            for slot, handle in enumerate(workers):
+                waitables[handle.results] = slot
+                waitables[handle.process.sentinel] = slot
+                if handle.beats is not None:
+                    waitables[handle.beats] = slot
+            woken = set(wait(list(waitables), _timeout(time.monotonic())))
+            for slot in sorted({waitables[w] for w in woken}):
+                handle = workers[slot]
+                if handle.beats is not None and handle.beats in woken:
+                    _drain_beats(slot)
+                # results first: a worker may finish a unit, then die
+                alive = _drain_results(slot)
+                if workers[slot] is not handle:
+                    continue  # settled while draining
+                if not alive or handle.process.sentinel in woken:
+                    handle.process.join(timeout=1.0)
+                    if handle.process.is_alive():
+                        handle.kill()
+                    _settle(slot, "crash", "worker died with exit code "
+                            f"{handle.process.exitcode}" if handle.units
+                            else "worker died idle")
+            if policy.unit_timeout is not None:
+                now = time.monotonic()
+                for slot, handle in enumerate(workers):
+                    if (handle.units
+                            and now - handle.started_at > policy.unit_timeout):
+                        handle.kill()
+                        _settle(slot, "timeout", "deadline exceeded "
+                                f"({policy.unit_timeout:.1f}s)")
             if health is not None:
-                for slot, worker_handle in enumerate(workers):
-                    beats = worker_handle.beats
-                    if beats is None:
-                        continue
-                    try:
-                        while not beats.empty():
-                            units_done, rss_kb = beats.get()
-                            health.beat(lanes[slot],
-                                        worker_handle.process.pid,
-                                        units_done, rss_kb)
-                    except Exception:
-                        pass  # torn beat from a dying worker: drop it
                 health.poll()
-            # hand eligible units to idle, living workers
-            ready.sort()
-            for slot, worker_handle in enumerate(workers):
-                if not worker_handle.idle or worker_handle.dead():
-                    continue
-                while ready and done[ready[0][1]]:
-                    ready.pop(0)  # settled while waiting (stale entry)
-                if not ready or ready[0][0] > now:
-                    break
-                _, index = ready.pop(0)
-                worker_handle.assign(index, items[index])
-                if health is not None:
-                    health.unit_started(
-                        lanes[slot], index, describe(index),
-                        keys[index] if keys is not None else None)
-                progressed = True
-            # drain completions, worker by worker
-            for slot, worker_handle in enumerate(workers):
-                if worker_handle.unit is None:
-                    if worker_handle.dead():
-                        if health is not None:
-                            health.worker_lost(
-                                lanes[slot], worker_handle.process.pid,
-                                "crash", "worker died idle", None)
-                        _respawn(slot)  # died idle (start failure)
-                    continue
-                try:
-                    while not worker_handle.outbox.empty():
-                        index, status, *payload = worker_handle.outbox.get()
-                        progressed = True
-                        if worker_handle.unit == index:
-                            worker_handle.unit = None
-                        if done[index]:
-                            continue  # stale duplicate
-                        if status == "ok":
-                            done[index] = True
-                            results[index] = payload[0]
-                            if health is not None:
-                                health.unit_finished(lanes[slot], index)
-                            if on_done is not None:
-                                on_done(index, payload[0])
-                        else:
-                            _failed_attempt(index, "exception", *payload,
-                                            lane=lanes[slot])
-                except Exception as exc:
-                    # partial pickle from a dying writer: the pipe is
-                    # unusable — treat as a crash of the running unit
-                    progressed = True
-                    worker_handle.kill()
-                    _settle(slot, "crash", f"result pipe corrupted: {exc!r}")
-                    continue
-                # supervise: abrupt death and blown deadlines
-                if worker_handle.unit is None:
-                    continue
-                if worker_handle.dead():
-                    progressed = True
-                    code = worker_handle.process.exitcode
-                    _settle(slot, "crash",
-                            f"worker died with exit code {code}")
-                elif (policy.unit_timeout is not None
-                      and now - worker_handle.started_at
-                      > policy.unit_timeout):
-                    progressed = True
-                    worker_handle.kill()
-                    _settle(slot, "timeout",
-                            f"deadline exceeded ({policy.unit_timeout:.1f}s)")
-            if not progressed and not all(done):
-                time.sleep(policy.poll_interval)
     finally:
-        for worker_handle in workers:
-            worker_handle.stop()
+        for handle in workers:
+            handle.stop()
         if health is not None:
             health.finish()
     return results, quarantined, retries_spent

@@ -42,12 +42,11 @@ the same byte-identity equivalence suite:
 
 * **Burst enqueue** — :meth:`Link.transmit_train` accepts a whole burst
   of equal-size segments and computes their serialization finish times
-  in one shot (``numpy.add.accumulate`` when numpy is importable and the
-  ``REPRO_NO_NUMPY`` env var is unset, a plain Python loop otherwise;
-  ``add.accumulate`` is strictly sequential, so both produce bit-equal
-  IEEE-754 results).  Loss draws stay per-packet scalar calls so the RNG
-  stream is untouched, and any burst that could hit the drop-tail check
-  or a mixed-rate queue falls back to per-packet :meth:`transmit`.
+  in one loop (the same left-to-right float recurrence as the scalar
+  path, so the results are bit-equal).  Loss draws stay per-packet
+  scalar calls so the RNG stream is untouched, and any burst that could
+  hit the drop-tail check or a mixed-rate queue falls back to
+  per-packet :meth:`transmit`.
 * **Batched delivery** — :meth:`Link._deliver_train` processes a prefix
   of the train under a single scheduler event instead of re-posting one
   event per packet.  The batch stops strictly before the earliest *live
@@ -69,13 +68,6 @@ from typing import Any, Callable, Deque, List, Optional, Tuple
 from .errors import ConfigurationError
 from .loss import LossModel, NoLoss
 from .scheduler import EventScheduler, _HANDLE
-
-try:  # numpy is optional; the pure-python fallback is bit-identical
-    if os.environ.get("REPRO_NO_NUMPY", "").lower() in ("1", "true", "on"):
-        raise ImportError("numpy disabled via REPRO_NO_NUMPY")
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 # A wire packet is anything exposing its on-the-wire size in bytes.
 DeliverFn = Callable[[Any], None]
@@ -357,17 +349,15 @@ class Link:
         return True
 
     def transmit_train(self, packets: List[Any]) -> None:
-        """Enqueue a burst of equal-size packets, vectorizing the math.
+        """Enqueue a burst of equal-size packets in one pass.
 
         Byte-identical to calling :meth:`transmit` once per packet: the
-        serialization finish times follow the same float recurrence
-        (``numpy.add.accumulate`` is strictly sequential, so the numpy
-        and pure-python legs produce bit-equal results), loss draws stay
-        per-packet scalar calls in the same RNG order, and sequence
-        numbers are reserved packet by packet.  Bursts that could differ
-        from the scalar path — drop-tail pressure, a mixed-rate queue
-        after ``set_rate``, a down link — fall back to per-packet
-        :meth:`transmit`.
+        serialization finish times follow the same float recurrence,
+        loss draws stay per-packet scalar calls in the same RNG order,
+        and sequence numbers are reserved packet by packet.  Bursts that
+        could differ from the scalar path — drop-tail pressure, a
+        mixed-rate queue after ``set_rate``, a down link — fall back to
+        per-packet :meth:`transmit`.
         """
         n = len(packets)
         if n == 0:
@@ -401,18 +391,11 @@ class Link:
                 self.transmit(packet)
             return
         stats.packets_in += n
-        if _np is not None and n >= 8:
-            finishes = _np.empty(n + 1)
-            finishes[0] = start
-            finishes[1:] = delta
-            _np.add.accumulate(finishes, out=finishes)
-            finish_list = finishes[1:].tolist()
-        else:
-            finish_list = []
-            f = start
-            for _ in range(n):
-                f = f + delta
-                finish_list.append(f)
+        finish_list = []
+        f = start
+        for _ in range(n):
+            f = f + delta
+            finish_list.append(f)
         self._busy_until = finish_list[-1]
         self._queued_bytes += size * n
         epoch = self._rate_epoch

@@ -44,7 +44,6 @@ from repro.runner.dist import (
     FileShardQueue,
     LeaseHeartbeat,
     WorkerOptions,
-    make_queue,
     run_worker,
 )
 from repro.runner.pool import RunStats, engine_options
@@ -208,15 +207,6 @@ class TestFileShardQueue:
     def test_ttl_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
             FileShardQueue(tmp_path, ttl=0)
-
-    def test_make_queue_routes_paths_and_redis_urls(self, tmp_path):
-        queue = make_queue(tmp_path / "q", ttl=7)
-        assert isinstance(queue, FileShardQueue)
-        assert queue.ttl == 7
-        # redis is deliberately not installed: the stub must say so
-        # loudly instead of half-working
-        with pytest.raises(NotImplementedError):
-            make_queue("redis://localhost:6379/0")
 
     def test_heartbeat_renews_while_running(self, tmp_path):
         queue = FileShardQueue(tmp_path, ttl=0.4)

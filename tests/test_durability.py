@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs import CampaignCollector
+from repro.obs.ledger import load_ledger
 from repro.runner import (
     CampaignAborted,
     CampaignJournal,
@@ -169,6 +170,20 @@ class TestKillAndResume:
                       chaos="poison:1.0")
         assert result.returncode == 1
         assert "campaign aborted" in result.stdout
+
+    def test_health_changes_no_retry_decision(self, tmp_path):
+        # --health runs the campaign on supervised, heartbeating workers;
+        # without --max-attempts each poison unit still gets one attempt
+        result = _cli(["experiment", "fig2", "--scale", "small", "--seed",
+                       "1", "--jobs", "2", "--health", "--cache-dir",
+                       "cache"], tmp_path, chaos="poison:1.0")
+        assert result.returncode == 1, result.stderr
+        assert "campaign aborted" in result.stdout
+        [ledger] = (tmp_path / "cache" / "ledger").glob("fig2-*.jsonl")
+        events = load_ledger(ledger).events
+        assert [e for e in events if e["event"] == "retried"] == []
+        quarantined = [e for e in events if e["event"] == "quarantined"]
+        assert [e["attempts"] for e in quarantined] == [1, 1]
 
 
 class TestEngineDurability:

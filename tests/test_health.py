@@ -377,6 +377,35 @@ class TestSupervisedIntegration:
         done = [e for e in view.events if e["event"] == "done"]
         assert [e["worker"] for e in done] == ["w0"]
 
+    def test_queued_units_are_attributed_to_their_own_lane_time(
+            self, tmp_path):
+        """One worker, three sleeping units: the worker always holds a
+        unit queued behind its running one.  Each ledger ``done`` event
+        carries its own unit's key and a latency no shorter than the
+        unit's sleep, and the lane shows every unit while it runs."""
+        sleep = 0.4
+        ledger = RunLedger(tmp_path / "run.jsonl",
+                           meta={"experiment": "queue-test"})
+        monitor = HealthMonitor(HealthPolicy(interval=0.1), ledger=ledger)
+        watcher = _LaneWatcher()
+        monitor.attach(watcher)
+        keys = ["key-a", "key-b", "key-c"]
+        results, quarantined, retries = run_supervised(
+            _sleep_square, [(sleep, x) for x in range(3)], jobs=1,
+            policy=SupervisionPolicy(), health=monitor, keys=keys)
+        ledger.close()
+        assert results == [0, 1, 4]
+        assert quarantined == [] and retries == 0
+
+        done = [e for e in load_ledger(tmp_path / "run.jsonl").events
+                if e["event"] == "done"]
+        assert [(e["unit"], e.get("key")) for e in done] == list(
+            enumerate(keys))
+        assert all(e["latency_s"] >= sleep for e in done)
+        assert monitor.lanes()[0].busy_s >= 3 * sleep
+        # beats land every 0.1 s during each 0.4 s unit
+        assert set(watcher.running) >= {0, 1, 2}
+
     def test_healthy_run_raises_no_suspicion(self, tmp_path):
         # thresholds generous (but finite) against a loaded machine:
         # worker spawn latency must not read as a missed beat, and the
@@ -404,6 +433,24 @@ def _square(x):
 def _slow_square(x):
     time.sleep(0.05)
     return x * x
+
+
+def _sleep_square(item):
+    seconds, x = item
+    time.sleep(seconds)
+    return x * x
+
+
+class _LaneWatcher(NullRunObserver):
+    """Record the lane's running unit at every heartbeat."""
+
+    enabled = True
+
+    def __init__(self):
+        self.running = []
+
+    def worker_beat(self, lane):
+        self.running.append(lane.unit)
 
 
 # -- the dashboard -----------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.experiments import (
     model_validation,
 )
 from repro.runner import (
+    CampaignAborted,
     ResultCache,
     RunStats,
     SessionPlan,
@@ -52,6 +53,12 @@ def _square(x):
 
 def _swap(a, b):
     return (b, a)
+
+
+def _fail_on_three(x):
+    if x == 3:
+        raise ValueError("three is bad")
+    return x * x
 
 
 class _Color(enum.Enum):
@@ -178,6 +185,24 @@ class TestRunTasks:
         result = run_tasks(_square, args, cache=cache, stats=stats)
         assert (stats.cache_hits, stats.cache_misses) == (0, 4)
         assert result == [0, 1, 4, 9]
+
+
+    def test_parallel_failure_aborts_once_the_batch_settles(self, tmp_path):
+        # no supervision policy: one attempt per unit, and the failure
+        # surfaces as CampaignAborted after every other unit finished
+        cache = ResultCache(tmp_path)
+        with pytest.raises(CampaignAborted) as excinfo:
+            run_tasks(_fail_on_three, [(x,) for x in range(5)], jobs=2,
+                      cache=cache)
+        assert "_fail_on_three(3,)" in str(excinfo.value)
+        [failure] = excinfo.value.report.failures
+        assert (failure.index, failure.attempts) == (3, 1)
+        assert "ValueError: three is bad" in failure.error
+        assert len(cache) == 4
+        stats = RunStats()
+        assert run_tasks(_fail_on_three, [(x,) for x in (0, 1, 2, 4)],
+                         cache=cache, stats=stats) == [0, 1, 4, 16]
+        assert stats.cache_hits == 4
 
 
 class TestEngineOptions:

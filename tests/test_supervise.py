@@ -7,6 +7,7 @@ run in a *fresh* worker process by design.
 """
 
 import os
+import signal
 import time
 
 import pytest
@@ -63,6 +64,21 @@ def _slow_then_fast(item):
         with open(marker, "w"):
             pass
         time.sleep(60.0)
+    return x * x
+
+
+class _Blocked(Exception):
+    """Raised by a test alarm when the supervisor stops making progress."""
+
+
+def _slow_then_fast_blob(item):
+    root, x, blob = item
+    return _slow_then_fast((root, x)) + len(blob)
+
+
+def _sleep_then_square(item):
+    seconds, x = item
+    time.sleep(seconds)
     return x * x
 
 
@@ -129,8 +145,7 @@ class TestRunSupervised:
         items = [(str(tmp_path), x) for x in range(2)]
         policy = SupervisionPolicy(
             unit_timeout=0.5,
-            retry=RetryBudget(max_attempts=2, backoff_base=0.0),
-            poll_interval=0.02)
+            retry=RetryBudget(max_attempts=2, backoff_base=0.0))
         started = time.monotonic()
         results, quarantined, retries = run_supervised(
             _slow_then_fast, items, jobs=2, policy=policy)
@@ -139,6 +154,75 @@ class TestRunSupervised:
         assert quarantined == []
         assert retries == 2
         assert elapsed < 30.0  # killed, not waited out
+
+    def test_crash_hands_queued_unit_back_uncharged(self, tmp_path):
+        # jobs=1: unit 1 sits queued behind unit 0 when unit 0 kills its
+        # worker; only the running unit is charged
+        open(os.path.join(tmp_path, "crash-1.seen"), "w").close()
+        items = [(str(tmp_path), 0), (str(tmp_path), 1)]
+        failures = []
+        results, quarantined, retries = run_supervised(
+            _crashy, items, jobs=1, policy=SupervisionPolicy(retry=FAST),
+            on_failure=failures.append)
+        assert results == [0, 1]
+        assert quarantined == []
+        assert retries == 1
+        assert [(f.index, f.kind, f.attempts) for f in failures] \
+            == [(0, "crash", 1)]
+
+    def test_deadline_hands_queued_unit_back_uncharged(self, tmp_path):
+        open(os.path.join(tmp_path, "slow-1.seen"), "w").close()
+        items = [(str(tmp_path), 0), (str(tmp_path), 1)]
+        failures = []
+        policy = SupervisionPolicy(
+            unit_timeout=0.5,
+            retry=RetryBudget(max_attempts=2, backoff_base=0.0))
+        results, quarantined, retries = run_supervised(
+            _slow_then_fast, items, jobs=1, policy=policy,
+            on_failure=failures.append)
+        assert results == [0, 1]
+        assert retries == 1
+        assert [(f.index, f.kind) for f in failures] == [(0, "timeout")]
+
+    def test_large_unit_waits_for_an_idle_worker(self, tmp_path):
+        # a message larger than a pipe buffer is never queued behind a
+        # running unit: sending it to the hung worker would block the
+        # supervisor, and the deadline check with it
+        open(os.path.join(tmp_path, "slow-1.seen"), "w").close()
+        blob = "x" * 200_000
+        items = [(str(tmp_path), x, blob) for x in range(2)]
+        policy = SupervisionPolicy(
+            unit_timeout=0.5,
+            retry=RetryBudget(max_attempts=2, backoff_base=0.0))
+
+        def _blocked(signum, frame):
+            raise _Blocked("supervisor blocked past the deadline")
+
+        previous = signal.signal(signal.SIGALRM, _blocked)
+        signal.alarm(20)
+        started = time.monotonic()
+        try:
+            results, quarantined, retries = run_supervised(
+                _slow_then_fast_blob, items, jobs=1, policy=policy)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 10.0
+        assert results == [len(blob), 1 + len(blob)]
+        assert quarantined == []
+        assert retries == 1
+
+    def test_queued_unit_deadline_starts_with_its_run(self):
+        # each unit fits its deadline, the two back to back do not: the
+        # queued unit's clock starts when its predecessor's result lands
+        policy = SupervisionPolicy(
+            unit_timeout=1.0,
+            retry=RetryBudget(max_attempts=1, backoff_base=0.0))
+        results, quarantined, retries = run_supervised(
+            _sleep_then_square, [(0.6, 2), (0.6, 3)], jobs=1, policy=policy)
+        assert results == [4, 9]
+        assert quarantined == []
+        assert retries == 0
 
     def test_campaign_retry_budget_bounds_total_retries(self):
         # total=1: the first poison unit consumes the campaign budget;
