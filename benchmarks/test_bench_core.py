@@ -123,6 +123,9 @@ def test_bench_core_session_bulk_train(benchmark):
 BULK_TRAIN_PACKETS = 32891
 BULK_TRAIN_BYTES = 30000032
 
+#: Bytes downloaded across the 64 sessions of the campaign benchmark.
+CAMPAIGN_64_BYTES = 353_093_808
+
 
 def test_bench_core_campaign_64(benchmark):
     """64 short sessions back to back — the campaign-engine shape."""
@@ -140,4 +143,4 @@ def test_bench_core_campaign_64(benchmark):
         return total
 
     total = benchmark.pedantic(campaign, rounds=1, iterations=1)
-    assert total > 0
+    assert total == CAMPAIGN_64_BYTES

@@ -27,10 +27,11 @@ Commands:
 * ``dash <name>`` — run an experiment under worker supervision with the
   live multi-line health dashboard: one lane per worker (heartbeat age,
   units/s, RSS, current unit) plus straggler/missed-beat flags.
-* ``report`` — render a campaign's run ledger (written by
-  ``--health``/``dash`` under ``--cache-dir``) into a self-contained
-  markdown or HTML report: timeline, per-worker utilization, unit
-  latency percentiles, failures and health suspicions.
+* ``report`` — render a campaign's journal (written by every
+  ``experiment`` run under ``--cache-dir``; ``--health``/``dash`` add
+  worker lanes and suspicions) into a self-contained markdown or HTML
+  report: timeline, per-worker utilization, unit latency percentiles,
+  failures and health suspicions.
 * ``bench`` — run a named experiment suite at a chosen scale and write a
   schema-versioned ``BENCH_<gitsha>.json`` perf snapshot (wall time,
   sessions/sec, peak RSS, cache hits/misses, telemetry span totals);
@@ -42,10 +43,10 @@ Commands:
 
 The ``experiment`` command doubles as the campaign observatory:
 ``--progress`` keeps a live status line on stderr, ``--health`` turns
-on the engine health plane (heartbeats, straggler detection, run
-ledger), and ``--flows`` / ``--metrics`` export per-session flow
-records and metric time-series (format chosen by file suffix:
-``.jsonl``, ``.csv``, ``.prom``).
+on the engine health plane (heartbeats and straggler detection,
+recorded in the campaign journal), and ``--flows`` / ``--metrics``
+export per-session flow records and metric time-series (format chosen
+by file suffix: ``.jsonl``, ``.csv``, ``.prom``).
 
 It also scales: ``--sessions M --shards N`` re-dimensions a
 sharding-aware campaign (``model_validation``) to M total sessions split
@@ -210,9 +211,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "cache hits; default off)")
     p_exp.add_argument(
         "--health", action="store_true",
-        help="watch the supervised workers: heartbeats, straggler "
-             "detection and (with a cache dir) a run ledger for "
-             "`repro report` — report-only, results are unchanged")
+        help="watch the supervised workers: heartbeats and straggler "
+             "detection, recorded (with a cache dir) in the campaign "
+             "journal for `repro report` — report-only, results are "
+             "unchanged")
     p_exp.add_argument(
         "--flows", default=None, metavar="FILE",
         help="export per-session flow records; format from the suffix "
@@ -239,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "--cache-dir (default: $REPRO_CACHE_DIR)")
     p_worker.add_argument(
         "--worker-id", default=None, metavar="ID",
-        help="identity in leases, done markers and run ledgers "
+        help="identity in leases, done markers and campaign journals "
              "(default: <hostname>-<pid>)")
     p_worker.add_argument(
         "--lease-ttl", type=float, default=30.0, metavar="SECS",
@@ -280,10 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser(
         "report",
-        help="render a campaign run ledger into markdown or HTML")
+        help="render a campaign journal into markdown or HTML")
     p_report.add_argument(
         "name", nargs="?", default=None,
-        help="experiment whose ledger to load (with --cache-dir); "
+        help="experiment whose journal to load (with --cache-dir); "
              "alternatively pass --ledger FILE")
     p_report.add_argument("--scale", default="small",
                           choices=["small", "medium", "full"])
@@ -294,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default: $REPRO_CACHE_DIR if set)")
     p_report.add_argument(
         "--ledger", default=None, metavar="FILE",
-        help="load this ledger file directly instead of resolving "
+        help="load this journal file directly instead of resolving "
              "name/scale/seed under the cache dir")
     p_report.add_argument(
         "--out", default=None, metavar="FILE",
@@ -670,7 +672,7 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
     elif health_on and sharding is not None:
         from .obs import CampaignCollector
 
-        # no exports asked for, but the ledger still wants one `merged`
+        # no exports asked for, but the journal still wants one `merged`
         # event per shard; streaming mode folds-and-drops, and on a
         # sharded campaign the parent only ever sees shard snapshots
         collector = CampaignCollector(streaming=True)
@@ -688,8 +690,8 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
                 failures = FailureReport()
                 journal = None
                 if cache is not None:
-                    # the write-ahead ledger: fresh unless resuming, so a
-                    # stale journal never misreports a new campaign
+                    # the campaign's event log: fresh unless resuming, so
+                    # a stale journal never misreports a new campaign
                     journal = CampaignJournal.for_campaign(
                         cache.root, name, scale.name, args.seed,
                         fresh=not args.resume)
@@ -697,32 +699,27 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
                         counts = journal.counts()
                         print(f"resume {name}: journal has "
                               f"{counts['done']} done, "
-                              f"{counts['failed']} failed, "
+                              f"{counts['retried']} retried, "
                               f"{counts['quarantined']} quarantined",
                               file=sys.stderr)
+                    journal.event("campaign-started", experiment=name,
+                                  jobs=args.jobs, shards=args.shards,
+                                  sessions=args.sessions,
+                                  shard_size=args.shard_size,
+                                  resume=True if args.resume else None,
+                                  distributed=True if dist else None,
+                                  workers=(args.workers
+                                           if dist is not None else None))
                 monitor = None
-                ledger = None
                 if health_on:
-                    from .obs import HealthMonitor, HealthPolicy, RunLedger
+                    from .obs import HealthMonitor, HealthPolicy
 
-                    if cache is not None:
-                        ledger = RunLedger.for_campaign(
-                            cache.root, name, scale.name, args.seed,
-                            fresh=not args.resume)
-                        ledger.event("campaign-started", experiment=name,
-                                     jobs=args.jobs, shards=args.shards,
-                                     sessions=args.sessions,
-                                     shard_size=args.shard_size,
-                                     resume=True if args.resume else None,
-                                     distributed=True if dist else None,
-                                     workers=(args.workers
-                                              if dist is not None else None))
                     beat = getattr(args, "beat_interval", None)
                     policy = (HealthPolicy(interval=beat)
                               if beat is not None else None)
-                    monitor = HealthMonitor(policy, ledger=ledger)
+                    monitor = HealthMonitor(policy, journal=journal)
                 if collector is not None:
-                    collector.ledger = ledger
+                    collector.journal = journal
                 started = time.perf_counter()
                 try:
                     result = spec.run(scale, seed=args.seed, jobs=args.jobs,
@@ -761,13 +758,11 @@ def _cmd_experiment(args, dashboard: bool = False) -> int:
                     continue
                 finally:
                     if journal is not None:
-                        journal.close()
-                    if ledger is not None:
-                        ledger.event(
+                        journal.event(
                             "campaign-finished", experiment=name,
                             elapsed_s=round(
                                 time.perf_counter() - started, 3))
-                        ledger.close()
+                        journal.close()
                 elapsed = time.perf_counter() - started
                 report = result.report()
                 if not failures.ok:
@@ -856,7 +851,8 @@ def _cmd_dash(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .obs import ledger_path, load_ledger, render_report, write_report
+    from .obs import load_journal, render_report, write_report
+    from .runner import journal_path
 
     if args.ledger is not None:
         path = args.ledger
@@ -867,10 +863,10 @@ def _cmd_report(args) -> int:
                   "(--cache-dir or $REPRO_CACHE_DIR), or --ledger FILE",
                   file=sys.stderr)
             return 2
-        path = ledger_path(os.path.expanduser(root), args.name,
-                           args.scale, args.seed)
+        path = journal_path(os.path.expanduser(root), args.name,
+                            args.scale, args.seed)
     try:
-        view = load_ledger(path)
+        view = load_journal(path)
     except (OSError, ValueError) as exc:
         print(f"repro report: {exc}", file=sys.stderr)
         return 2
@@ -1033,11 +1029,11 @@ def _cmd_list(args) -> int:
         if journals:
             rows = [
                 (j["experiment"], j["scale"], j["seed"], j["done"],
-                 j["failed"], j["quarantined"])
+                 j["retried"], j["quarantined"])
                 for j in journals
             ]
             print(format_table(
-                ["Campaign", "Scale", "Seed", "Done", "Failed",
+                ["Campaign", "Scale", "Seed", "Done", "Retried",
                  "Quarantined"],
                 rows, title="Campaign journals",
             ))

@@ -19,12 +19,12 @@ a result, an analysis, or a cache fingerprint.  Three pillars:
   perf-regression tracker: run a suite, write a schema-versioned
   ``BENCH_<gitsha>.json``, and ``--compare`` two of them with a
   configurable regression threshold.
-* **Engine health** (:mod:`~repro.obs.health`, :mod:`~repro.obs.ledger`,
-  :mod:`~repro.obs.dash`, :mod:`~repro.obs.report`) — the campaign
-  control plane: per-worker heartbeats and straggler detection
-  (:class:`HealthMonitor`), an append-only JSONL run ledger
-  (:class:`RunLedger`), the live ``repro dash`` worker-lane dashboard,
-  and the post-hoc ``repro report`` renderer.  All of it observes the
+* **Engine health** (:mod:`~repro.obs.health`, :mod:`~repro.obs.dash`,
+  :mod:`~repro.obs.report`) — the campaign control plane: per-worker
+  heartbeats and straggler detection (:class:`HealthMonitor`, which
+  writes into the campaign journal of :mod:`repro.runner.journal`), the
+  live ``repro dash`` worker-lane dashboard, and the post-hoc
+  ``repro report`` renderer of that journal.  All of it observes the
   supervised engine through the same default-off hook — health on or
   off, exports stay byte-identical.
 
@@ -66,16 +66,15 @@ from .health import (
     Suspicion,
     WorkerLane,
 )
-from .ledger import (
-    LEDGER_SCHEMA,
-    LedgerView,
-    RunLedger,
-    ledger_path,
-    load_ledger,
-)
 from .metrics import METRIC_FIELDS, metric_samples
 from .progress import ProgressReporter
-from .report import render_html, render_report, write_report
+from .report import (
+    JournalView,
+    load_journal,
+    render_html,
+    render_report,
+    write_report,
+)
 
 __all__ = [
     "AGGREGATE_FIELDS",
@@ -88,13 +87,11 @@ __all__ = [
     "FLOW_FIELDS",
     "HealthMonitor",
     "HealthPolicy",
-    "LEDGER_SCHEMA",
-    "LedgerView",
+    "JournalView",
     "METRIC_FIELDS",
     "ProgressReporter",
     "QUICK_SUITE",
     "Regression",
-    "RunLedger",
     "Suspicion",
     "WorkerLane",
     "compare",
@@ -103,10 +100,9 @@ __all__ = [
     "format_comparison",
     "format_history",
     "git_sha",
-    "ledger_path",
     "load_bench",
     "load_history",
-    "load_ledger",
+    "load_journal",
     "metric_samples",
     "peak_rss_kb",
     "prometheus_lines",

@@ -299,7 +299,7 @@ class CampaignCollector(NullRunObserver):
     snapshot and dropped, so memory stays constant; per-session exports
     (flows/metrics) then raise, because the data they need is gone.
 
-    ``ledger`` (a :class:`~repro.obs.ledger.RunLedger`) records one
+    ``journal`` (a :class:`~repro.runner.journal.CampaignJournal`) records one
     ``merged`` event per shard snapshot folded into the streaming
     reduction — attribution for the reduce side of a sharded campaign.
     Write-only, like everything else here: the collector never reads it.
@@ -307,9 +307,9 @@ class CampaignCollector(NullRunObserver):
 
     enabled = True
 
-    def __init__(self, streaming: bool = False, ledger=None) -> None:
+    def __init__(self, streaming: bool = False, journal=None) -> None:
         self.streaming = streaming
-        self.ledger = ledger
+        self.journal = journal
         self.sessions: List[Tuple[str, SessionResult]] = []
         self.failures: List[UnitFailure] = []
         self._aggregate = CampaignSnapshot()
@@ -353,8 +353,8 @@ class CampaignCollector(NullRunObserver):
                 self.collect(value)
             elif isinstance(value, ShardResult):
                 payload = value.value
-                if self.ledger is not None:
-                    self.ledger.event(
+                if self.journal is not None:
+                    self.journal.event(
                         "merged", campaign=value.shard.campaign,
                         shard=value.shard.index, of=value.shard.of,
                         units=value.shard.units)

@@ -18,7 +18,7 @@ last-beat age, units/s EWMA, RSS watermark, current unit — and raises
   worker (attribution for the retry that follows).
 
 Suspicion is *reported*, never acted on: the monitor forwards it to the
-engine observer hook (``worker_suspect``) and the run ledger, and the
+engine observer hook (``worker_suspect``) and the campaign journal, and the
 supervisor's retry/quarantine behavior is byte-for-byte unchanged
 whether monitoring is on or off.  The monitor holds no reference into
 the engine — the engine calls it, guarded by ``if health is not None``,
@@ -69,7 +69,7 @@ class HealthPolicy:
     is flagged before ``min_completed`` latencies exist (a p50 of one
     sample flags everything).  ``ewma_alpha`` weights the newest
     completion when smoothing each lane's units/s rate, and
-    ``summary_every`` paces the ledger's ``heartbeat-summary`` events.
+    ``summary_every`` paces the journal's ``heartbeat-summary`` events.
     """
 
     interval: float = 1.0
@@ -102,7 +102,6 @@ class WorkerLane:
     rss_kb: int = 0              # worker-reported RSS watermark
     unit: Optional[int] = None   # batch index currently running
     label: str = ""
-    key: Optional[str] = None
     unit_started_at: Optional[float] = None
     missing: bool = False        # currently under missed-beat suspicion
     straggling: bool = False     # current unit flagged as a straggler
@@ -112,8 +111,15 @@ class WorkerLane:
         anchor = self.last_beat if self.last_beat is not None else self.spawned_at
         return max(0.0, now - anchor)
 
+    def idle(self) -> None:
+        """No unit is running on the lane any more."""
+        self.unit = None
+        self.label = ""
+        self.unit_started_at = None
+        self.straggling = False
+
     def snapshot(self, now: float) -> dict:
-        """The lane as a flat dict (ledger heartbeat-summary rendering)."""
+        """The lane as a flat dict (journal heartbeat-summary rendering)."""
         return {
             "worker": self.worker, "pid": self.pid,
             "beat_age_s": round(self.beat_age(now), 3),
@@ -143,16 +149,19 @@ class HealthMonitor:
     The supervisor drives it through the hook methods (``beat``,
     ``worker_started`` ... ``poll``); the monitor fans observations out
     to the engine observer (``worker_beat`` / ``worker_suspect`` /
-    ``unit_started`` callbacks) and, when given one, a
-    :class:`~repro.obs.ledger.RunLedger`.  It never steers: the
-    supervisor consults nothing here.
+    ``unit_started`` callbacks) and, when given one, appends its own
+    events (``scheduled``, ``started``, ``suspect``,
+    ``heartbeat-summary``) to the campaign's
+    :class:`~repro.runner.journal.CampaignJournal`; unit outcomes are
+    the engine's to record.  It never steers: the supervisor consults
+    nothing here.
     """
 
     def __init__(self, policy: Optional[HealthPolicy] = None, *,
-                 ledger: Optional[Any] = None,
+                 journal: Optional[Any] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.policy = policy or HealthPolicy()
-        self.ledger = ledger
+        self.journal = journal
         self.clock = clock
         self.observer: Optional[Any] = None
         self.suspicions: List[Suspicion] = []
@@ -180,8 +189,9 @@ class HealthMonitor:
         """An engine batch was scheduled (after cache lookup)."""
         self.units_scheduled += units
         self.cache_hits += cache_hits
-        if self.ledger is not None:
-            self.ledger.event("scheduled", units=units, cache_hits=cache_hits)
+        if self.journal is not None:
+            self.journal.event("scheduled", units=units,
+                               cache_hits=cache_hits)
 
     def worker_started(self, worker: str, pid: Optional[int]) -> None:
         """A worker process spawned (or respawned) on lane ``worker``."""
@@ -190,12 +200,8 @@ class HealthMonitor:
         lane.alive = True
         lane.spawned_at = self.clock()
         lane.last_beat = None
-        lane.unit = None
-        lane.label = ""
-        lane.key = None
-        lane.unit_started_at = None
         lane.missing = False
-        lane.straggling = False
+        lane.idle()
 
     def worker_lost(self, worker: str, pid: Optional[int], kind: str,
                     error: str, unit: Optional[int]) -> None:
@@ -213,12 +219,11 @@ class HealthMonitor:
         lane = self._lane(worker)
         lane.unit = index
         lane.label = label or f"unit {index}"
-        lane.key = key
         lane.unit_started_at = self.clock()
         lane.straggling = False
-        if self.ledger is not None:
-            self.ledger.event("started", unit=index, label=lane.label,
-                              worker=worker, key=key)
+        if self.journal is not None:
+            self.journal.event("started", unit=index, label=lane.label,
+                               worker=worker, key=key)
         if self.observer is not None and self.observer.enabled:
             self.observer.unit_started(index, lane.label, worker)
 
@@ -237,14 +242,7 @@ class HealthMonitor:
             lane.rate = (sample if lane.rate == 0.0
                          else alpha * sample + (1 - alpha) * lane.rate)
             self._latencies.append(latency)
-        if self.ledger is not None:
-            self.ledger.event("done", unit=index, worker=worker,
-                              key=lane.key, latency_s=round(latency, 6))
-        lane.unit = None
-        lane.label = ""
-        lane.key = None
-        lane.unit_started_at = None
-        lane.straggling = False
+        lane.idle()
 
     def unit_failed(self, failure: Any) -> None:
         """A supervised attempt failed (``failure.final`` = quarantined)."""
@@ -252,19 +250,9 @@ class HealthMonitor:
         if worker is not None:
             lane = self._lane(worker)
             if lane.unit == failure.index:
-                lane.unit = None
-                lane.label = ""
-                lane.key = None
-                lane.unit_started_at = None
-                lane.straggling = False
+                lane.idle()
             if not failure.final:
                 lane.retries += 1
-        if self.ledger is not None:
-            self.ledger.event(
-                "quarantined" if failure.final else "retried",
-                unit=failure.index, label=failure.label, worker=worker,
-                key=failure.key, kind=failure.kind, error=failure.error,
-                attempts=failure.attempts)
 
     def beat(self, worker: str, pid: Optional[int], units_done: int,
              rss_kb: int) -> None:
@@ -280,7 +268,7 @@ class HealthMonitor:
             self.observer.worker_beat(lane)
 
     def poll(self) -> List[Suspicion]:
-        """Periodic check: raise fresh suspicions, pace ledger summaries.
+        """Periodic check: raise fresh suspicions, pace journal summaries.
 
         Called once per supervisor loop iteration; callable as often as
         desired — every threshold crossing flags exactly once (a lane
@@ -318,27 +306,27 @@ class HealthMonitor:
                                 f"({p50:.2f}s)")))
         for suspicion in fresh:
             self._suspect(suspicion)
-        if self.ledger is not None and (
+        if self.journal is not None and (
                 self._last_summary is None
                 or now - self._last_summary >= policy.summary_every):
             self._last_summary = now
-            self.ledger.event(
+            self.journal.event(
                 "heartbeat-summary", parent_rss_kb=self.parent_rss_kb,
                 workers=[lane.snapshot(now) for lane in self.lanes()])
         return fresh
 
     def finish(self) -> None:
-        """The batch drained: flush one last ledger heartbeat-summary.
+        """The batch drained: flush one last journal heartbeat-summary.
 
         Without it a short campaign's only summary is the one ``poll``
         writes before any beat arrives, and the report never sees the
         workers' RSS watermarks or final beat counts.
         """
-        if self.ledger is None:
+        if self.journal is None:
             return
         now = self.clock()
         self._last_summary = now
-        self.ledger.event(
+        self.journal.event(
             "heartbeat-summary", parent_rss_kb=self.parent_rss_kb,
             workers=[lane.snapshot(now) for lane in self.lanes()])
 
@@ -365,8 +353,8 @@ class HealthMonitor:
 
     def _suspect(self, suspicion: Suspicion) -> None:
         self.suspicions.append(suspicion)
-        if self.ledger is not None:
-            self.ledger.event(
+        if self.journal is not None:
+            self.journal.event(
                 "suspect", kind=suspicion.kind, worker=suspicion.worker,
                 pid=suspicion.pid, unit=suspicion.unit,
                 label=suspicion.label or None,

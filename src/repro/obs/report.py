@@ -1,9 +1,9 @@
-"""Campaign reports: render a run ledger into markdown or HTML.
+"""Campaign reports: render a campaign journal into markdown or HTML.
 
-``repro report`` is the post-hoc half of the health plane: the ledger
-(:mod:`repro.obs.ledger`) records what a campaign did, this module
-replays it into a self-contained document — event timeline, per-worker
-utilization, unit latency percentiles (via the same
+``repro report`` is the post-hoc half of the health plane: the campaign
+journal (:mod:`repro.runner.journal`) records what a campaign did, this
+module replays it into a self-contained document — event timeline,
+per-worker utilization, unit latency percentiles (via the same
 :mod:`repro.stats` sketches the aggregate exports use), cache-hit /
 retry / quarantine tallies, failure attribution and health suspicions —
 plus, for distributed campaigns, the fabric's story (queue, shards
@@ -14,9 +14,9 @@ the repository the campaign ran in.
 Markdown is the primary rendering (readable in a terminal, a gist, or
 a CI artifact); :func:`render_html` wraps the same content in one
 dependency-free HTML file for browsers.  Everything here is a pure
-function of the loaded :class:`~repro.obs.ledger.LedgerView` — the
-report never touches the engine, the cache, or the clock beyond
-formatting the timestamps the ledger already recorded.
+function of the loaded :class:`JournalView` — the report never touches
+the engine, the cache, or the clock beyond formatting the timestamps
+the journal already recorded.
 """
 
 from __future__ import annotations
@@ -26,14 +26,143 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from ..runner.journal import JOURNAL_SCHEMA, read_journal
 from ..stats import HistogramSketch, MomentAccumulator
-from .ledger import LedgerView
 
 __all__ = [
+    "JournalView",
+    "load_journal",
     "render_html",
     "render_report",
     "write_report",
 ]
+
+
+def _kind(event: dict) -> str:
+    """The event's kind, with cache-hit replays of ``done`` split off as
+    ``cached``: they record resume state, not work this campaign did."""
+    kind = event.get("event", "?")
+    return "cached" if kind == "done" and event.get("cached") else kind
+
+
+class JournalView:
+    """A loaded journal: header metadata plus the event list, with the
+    derived views ``repro report`` renders (counts, per-worker activity,
+    unit latencies, failures)."""
+
+    def __init__(self, meta: dict, events: List[dict]) -> None:
+        self.meta = meta
+        self.events = events
+
+    def counts(self) -> Dict[str, int]:
+        """Events per kind, e.g. ``{"started": 13, "done": 12, ...}``."""
+        counts: Dict[str, int] = {}
+        for event in self.events:
+            kind = _kind(event)
+            counts[kind] = counts.get(kind, 0) + 1
+        return counts
+
+    def span(self) -> Optional[tuple]:
+        """``(first_ts, last_ts)`` over all events, or ``None`` if empty."""
+        stamps = [e["ts"] for e in self.events if "ts" in e]
+        if not stamps:
+            return None
+        return min(stamps), max(stamps)
+
+    def _of(self, *kinds: str) -> List[dict]:
+        return [e for e in self.events if e.get("event") in kinds]
+
+    def units_scheduled(self) -> int:
+        """Units scheduled across every engine batch (cache hits included)."""
+        return sum(e.get("units", 0) for e in self._of("scheduled"))
+
+    def cache_hits(self) -> int:
+        """Cache hits across every engine batch."""
+        return sum(e.get("cache_hits", 0) for e in self._of("scheduled"))
+
+    def unit_latencies(self) -> List[float]:
+        """Per-unit wall latencies from ``done`` events, arrival order."""
+        return [e["latency_s"] for e in self._of("done")
+                if "latency_s" in e]
+
+    def failures(self) -> List[dict]:
+        """Every ``retried`` / ``quarantined`` event, journal order."""
+        return self._of("retried", "quarantined")
+
+    def suspicions(self) -> List[dict]:
+        """Every health ``suspect`` event, journal order."""
+        return self._of("suspect")
+
+    def releases(self) -> List[dict]:
+        """Every ``re-leased`` event (an expired lease stolen by a live
+        worker), journal order — who lost each shard and who finished it."""
+        return self._of("re-leased")
+
+    def distribution(self) -> Optional[dict]:
+        """The distributed-fabric summary, or ``None`` for local runs.
+
+        Folds the ``dist-published`` event(s) — queue, TTL, spawned
+        worker count, shards published vs prefilled — with the
+        re-lease and worker-exit tallies the report's Distribution
+        section renders.
+        """
+        published = self._of("dist-published")
+        if not published:
+            return None
+        info = {k: v for k, v in published[0].items()
+                if k not in ("seq", "ts", "event")}
+        info["batches"] = len(published)
+        info["shards"] = sum(e.get("shards", 0) for e in published)
+        info["cache_hits"] = sum(e.get("cache_hits", 0) for e in published)
+        info["re_leases"] = len(self.releases())
+        info["worker_exits"] = len(self._of("worker-exit"))
+        return info
+
+    def workers(self) -> Dict[str, dict]:
+        """Per-worker activity folded from unit and summary events.
+
+        One dict per worker lane: units done, busy seconds (sum of done
+        latencies), retries and quarantines attributed to it, RSS
+        watermark and heartbeat count from the summaries, and the pids
+        the lane cycled through (respawns append).
+        """
+        lanes: Dict[str, dict] = {}
+
+        def lane(worker: str) -> dict:
+            return lanes.setdefault(worker, {
+                "worker": worker, "pids": [], "done": 0, "busy_s": 0.0,
+                "retried": 0, "quarantined": 0, "rss_kb": 0, "beats": 0,
+                "suspicions": 0})
+
+        for event in self.events:
+            kind = _kind(event)
+            worker = event.get("worker")
+            if kind == "done" and worker:
+                entry = lane(worker)
+                entry["done"] += 1
+                entry["busy_s"] += event.get("latency_s", 0.0)
+            elif kind in ("retried", "quarantined") and worker:
+                lane(worker)[kind] += 1
+            elif kind == "suspect" and worker:
+                lane(worker)["suspicions"] += 1
+            elif kind == "heartbeat-summary":
+                for snap in event.get("workers", []):
+                    entry = lane(snap.get("worker", "?"))
+                    pid = snap.get("pid")
+                    if pid and pid not in entry["pids"]:
+                        entry["pids"].append(pid)
+                    entry["rss_kb"] = max(entry["rss_kb"],
+                                          snap.get("rss_kb", 0))
+                    entry["beats"] = max(entry["beats"],
+                                         snap.get("beats", 0))
+        return lanes
+
+
+def load_journal(path) -> JournalView:
+    """Load one journal file for rendering (torn-line tolerant; a
+    foreign schema raises ``ValueError``)."""
+    return JournalView(*read_journal(path))
+
 
 #: Percentiles reported on the unit-latency table.
 _PERCENTILES = (50, 90, 99)
@@ -64,9 +193,9 @@ def _clip(text: str, width: int = 60) -> str:
     return text if len(text) <= width else text[:width - 3] + "..."
 
 
-def render_report(view: LedgerView, *, bench_dir=None,
+def render_report(view: JournalView, *, bench_dir=None,
                   title: Optional[str] = None) -> str:
-    """The campaign report for one loaded ledger, as markdown.
+    """The campaign report for one loaded journal, as markdown.
 
     ``bench_dir`` (optional) appends the ``BENCH_*.json`` trajectory
     found under that directory (see
@@ -84,14 +213,18 @@ def render_report(view: LedgerView, *, bench_dir=None,
                  f"seed={meta.get('seed', '?')})")
 
     lines: List[str] = [f"# {title}", ""]
-    lines.append(f"- Schema: `{view.schema}`, {len(view.events)} events")
+    lines.append(f"- Schema: `{JOURNAL_SCHEMA}`, {len(view.events)} events")
     if span:
         lines.append(f"- Window: {_fmt_wall(span[0])} → {_fmt_wall(span[1])} "
                      f"({_fmt_seconds(duration)})")
-    scheduled = view.units_scheduled()
-    hits = view.cache_hits()
+    # ``scheduled`` comes from the health monitor; without it the cache
+    # hits are the ``cached`` replays
+    scheduled = (f"{view.units_scheduled()} scheduled "
+                 f"({view.cache_hits()} cache hits), "
+                 if counts.get("scheduled")
+                 else f"{counts.get('cached', 0)} cache hits, ")
     lines.append(
-        f"- Units: {scheduled} scheduled ({hits} cache hits), "
+        f"- Units: {scheduled}"
         f"{counts.get('done', 0)} done, {counts.get('retried', 0)} retried, "
         f"{counts.get('quarantined', 0)} quarantined")
     if counts.get("merged"):
@@ -107,15 +240,14 @@ def render_report(view: LedgerView, *, bench_dir=None,
         kinds: Dict[str, List[float]] = {}
         for event in view.events:
             if "ts" in event:
-                kinds.setdefault(event.get("event", "?"), []).append(
-                    event["ts"])
+                kinds.setdefault(_kind(event), []).append(event["ts"])
         rows = [(kind, len(stamps),
                  f"+{_fmt_seconds(min(stamps) - base)}",
                  f"+{_fmt_seconds(max(stamps) - base)}")
                 for kind, stamps in sorted(kinds.items())]
         lines += _table(("event", "count", "first", "last"), rows)
     else:
-        lines.append("(empty ledger)")
+        lines.append("(empty journal)")
     lines.append("")
 
     # -- workers -------------------------------------------------------------
@@ -290,7 +422,7 @@ def render_html(markdown: str, title: str = "Campaign report") -> str:
             + "\n".join(body) + "\n</body></html>\n")
 
 
-def write_report(view: LedgerView, path, *, bench_dir=None,
+def write_report(view: JournalView, path, *, bench_dir=None,
                  title: Optional[str] = None) -> str:
     """Render ``view`` to ``path`` — HTML when the suffix says so
     (``.html``/``.htm``), markdown otherwise.  Returns the rendered

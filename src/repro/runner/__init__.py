@@ -29,8 +29,10 @@ Public API:
   (:mod:`repro.runner.supervise`): per-unit deadlines, retries with
   backoff, and quarantine of poison units.
 * :class:`CampaignJournal`, :func:`campaign_fingerprint`,
-  :func:`list_journals` — the write-ahead campaign ledger behind
-  ``repro experiment --resume`` (:mod:`repro.runner.journal`).
+  :func:`journal_path`, :func:`list_journals` — the campaign's one
+  event log: unit outcomes behind ``repro experiment --resume`` plus
+  the lifecycle events ``repro report`` renders
+  (:mod:`repro.runner.journal`).
 * :class:`Sharding`, :class:`ShardSpec`, :class:`ShardResult`,
   :class:`ShardStore`, :func:`run_shards`, :func:`run_sharded_sessions`,
   :func:`shard_fingerprint` — the million-session campaign layer
@@ -59,7 +61,12 @@ from .fingerprint import (
     plan_fingerprint,
     task_fingerprint,
 )
-from .journal import CampaignJournal, campaign_fingerprint, list_journals
+from .journal import (
+    CampaignJournal,
+    campaign_fingerprint,
+    journal_path,
+    list_journals,
+)
 from .pool import (
     CacheLike,
     CompositeRunObserver,
@@ -127,6 +134,7 @@ __all__ = [
     "current_options",
     "engine_options",
     "fingerprint",
+    "journal_path",
     "list_journals",
     "merge_options",
     "plan_fingerprint",

@@ -24,13 +24,14 @@ honors.  :func:`run_shards_distributed` is a drop-in body for
    before the barrier (simulation, artifact landing, lease traffic)
    still overlaps freely.
 
-The run ledger (when the health plane is on) gains the distributed
-lifecycle: ``dist-published``, per-shard ``done`` events attributed to
-the worker that landed them, ``re-leased`` when an expired holder's
-shard moves, and ``worker-exit`` when a local worker leaves.  Worker
-lanes are synthesized from queue lease state and fed through the
-ordinary ``worker_beat`` observer hook, so ``repro dash`` renders a
-distributed campaign with no code of its own.
+The campaign journal gains the distributed lifecycle:
+``dist-published``, per-shard ``done`` events attributed to the worker
+that landed them (with its run time from the done marker),
+``re-leased`` when an expired holder's shard moves, and ``worker-exit``
+when a local worker leaves.  Worker lanes are synthesized from queue
+lease state and fed through the ordinary ``worker_beat`` observer hook,
+so ``repro dash`` renders a distributed campaign with no code of its
+own.
 """
 
 from __future__ import annotations
@@ -136,10 +137,10 @@ def _worker_env() -> dict:
 class _LocalFleet:
     """The coordinator's elastic local workers: spawn, respawn, reap."""
 
-    def __init__(self, policy: DistPolicy, cache_root, ledger=None) -> None:
+    def __init__(self, policy: DistPolicy, cache_root, journal=None) -> None:
         self.policy = policy
         self.cache_root = cache_root
-        self.ledger = ledger
+        self.journal = journal
         self.procs: Dict[int, subprocess.Popen] = {}
         self.respawned = 0
         self._env = _worker_env() if policy.workers else None
@@ -161,9 +162,9 @@ class _LocalFleet:
             if code is None:
                 continue
             del self.procs[index]
-            if self.ledger is not None:
-                self.ledger.event("worker-exit", worker=f"local-w{index}",
-                                  pid=proc.pid, code=code)
+            if self.journal is not None:
+                self.journal.event("worker-exit", worker=f"local-w{index}",
+                                   pid=proc.pid, code=code)
             if code != 0 and work_remains:
                 if self.respawned >= self.policy.respawns:
                     raise RuntimeError(
@@ -221,7 +222,6 @@ def run_shards_distributed(
     observer = options.observer
     journal = options.journal
     failures = options.failures
-    ledger = getattr(options.health, "ledger", None)
     stats = options.stats if stats is None else stats
 
     total = len(shards)
@@ -238,7 +238,7 @@ def run_shards_distributed(
             settled[i] = True
             hits += 1
             if journal is not None:
-                journal.done(key)  # idempotent replay on resume
+                journal.done(key, cached=True)  # skipped on resume
     if observer.enabled:
         observer.batch_started(total, hits)
 
@@ -251,14 +251,15 @@ def run_shards_distributed(
                                protocol=pickle.HIGHEST_PROTOCOL)
         if queue.publish(keys[i], payload):
             published += 1
-    if ledger is not None:
-        ledger.event("dist-published", shards=total - hits,
-                     new=published, cache_hits=hits, queue=str(policy.queue),
-                     workers=policy.workers, ttl=policy.ttl)
+    if journal is not None:
+        journal.event("dist-published", shards=total - hits,
+                      new=published, cache_hits=hits,
+                      queue=str(policy.queue), workers=policy.workers,
+                      ttl=policy.ttl)
 
     quarantined: List[UnitFailure] = []
     done_by: Dict[str, int] = {}     # worker -> shards landed
-    released: set = set()            # keys already ledgered as re-leased
+    released: set = set()            # keys already journaled as re-leased
     cursor = 0          # next plan index to hand to on_result
 
     def commit_prefix() -> None:
@@ -280,18 +281,16 @@ def run_shards_distributed(
         worker = record.get("worker")
         done_by[worker or "?"] = done_by.get(worker or "?", 0) + 1
         if journal is not None:
-            journal.done(keys[i], worker=worker)
-        if ledger is not None:
             # the done marker is the authoritative re-lease record:
             # watch_leases only sees transitions that straddle an idle
             # poll, but a stolen lease always names its dead holder here
             stolen_from = record.get("previous")
             if stolen_from and keys[i] not in released:
                 released.add(keys[i])
-                ledger.event("re-leased", worker=worker,
-                             previous=stolen_from, unit=i,
-                             shard=_shard_label(shards[i][0]))
-            ledger.event("done", unit=i, worker=worker,
+                journal.event("re-leased", worker=worker,
+                              previous=stolen_from, unit=i,
+                              shard=_shard_label(shards[i][0]))
+            journal.done(keys[i], unit=i, worker=worker,
                          latency_s=record.get("wall_s"),
                          shard=_shard_label(shards[i][0]))
         if observer.enabled:
@@ -310,10 +309,9 @@ def run_shards_distributed(
         quarantined.append(failure)
         if journal is not None:
             journal.quarantined(failure.key, failure.error,
-                                failure.attempts, failure.worker)
-        if ledger is not None:
-            ledger.event("quarantined", unit=i, worker=failure.worker,
-                         error=failure.error, shard=failure.label)
+                                failure.attempts, unit=i,
+                                worker=failure.worker, kind=failure.kind,
+                                shard=failure.label)
         if failures is not None:
             failures.add(failure)
         if observer.enabled:
@@ -329,13 +327,13 @@ def run_shards_distributed(
             previous = holder.get(lease.key)
             if previous is not None and previous != lease.worker:
                 # an expired holder's shard moved: the re-lease is the
-                # fabric's whole fault-tolerance story, so it is ledgered
+                # fabric's whole fault-tolerance story, so it is journaled
                 # (land() re-checks the done marker for steals this poll
                 # loop never witnessed; ``released`` dedups the two paths)
-                if ledger is not None and lease.key not in released:
+                if journal is not None and lease.key not in released:
                     released.add(lease.key)
                     i = index_of.get(lease.key)
-                    ledger.event(
+                    journal.event(
                         "re-leased", worker=lease.worker, previous=previous,
                         unit=i,
                         shard=_shard_label(shards[i][0]) if i is not None
@@ -364,7 +362,7 @@ def run_shards_distributed(
     # namespace under it — ShardStore(cache_root) re-derives the latter
     cache_root = (store.root.parent if isinstance(options.cache, ShardStore)
                   else options.cache.root)
-    fleet = _LocalFleet(policy, cache_root, ledger=ledger)
+    fleet = _LocalFleet(policy, cache_root, journal=journal)
     waiting_notice = None if (policy.workers or hits == total) \
         else time.monotonic() + max(5.0, policy.ttl)
     try:

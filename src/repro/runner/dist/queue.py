@@ -35,7 +35,7 @@ so it needs no daemon and no locks:
   presumed dead.  A stealer first ``os.rename``\\ s the stale lease to a
   unique tombstone — rename is atomic, so exactly one stealer wins —
   and then claims fresh.  The tombstone's content names the previous
-  holder, which is how re-leases are attributed in the run ledger.
+  holder, which is how re-leases are attributed in the campaign journal.
 * **Complete** — ``O_CREAT | O_EXCL`` on the done marker.  Duplicate
   completions (a presumed-dead worker that was merely slow) are
   harmless: the artifact store write is idempotent (same key, same
@@ -88,7 +88,7 @@ class ClaimedShard:
 
     ``previous`` names the worker whose expired lease was stolen to
     make this claim, or ``None`` for a first lease — the re-lease
-    attribution that ends up in the run ledger.
+    attribution that ends up in the campaign journal.
     """
 
     key: str

@@ -1,22 +1,38 @@
-"""The campaign journal: a write-ahead ledger of unit outcomes.
+"""The campaign journal: one append-only event log per campaign.
 
 The content-addressed :class:`~repro.runner.cache.ResultCache` already
 makes completed work durable — what it cannot say is *how a campaign
-went*: which units finished, which failed transiently, which were
-quarantined as poison, and whether a run that stopped was complete or
-killed halfway.  The journal layers that bookkeeping on top:
+went*: which units finished, on which worker and how fast, which failed
+transiently, which were quarantined as poison, and whether a run that
+stopped was complete or killed halfway.  The journal is that record:
 
-* one JSONL file per campaign, named by a campaign fingerprint that is
-  stable across code versions (so ``repro experiment --resume`` finds
-  it after a crash *and* after a fix to the code that crashed);
-* the first line is a metadata header (experiment, scale, seed); every
-  later line is ``{"key": ..., "status": "done"|"failed"|"quarantined",
-  "attempts": n, ...}`` appended and flushed as the engine settles each
-  unit, so a campaign killed at any instant loses at most the in-flight
-  units;
-* the loader is torn-line tolerant — a partial final line (the write
-  the kill interrupted) is skipped, never fatal — and last-status-wins,
-  so a unit that failed then succeeded reads as done.
+* one JSONL file per campaign,
+  ``<cache_root>/ledger/<experiment>-<fingerprint>.jsonl``, named by a
+  campaign fingerprint that is stable across code versions (so
+  ``repro experiment --resume`` finds it after a crash *and* after a
+  fix to the code that crashed);
+* the first line is a schema-versioned header; every later line is one
+  sequence-numbered, wall-clock-stamped event, appended and flushed as
+  it happens, so a campaign killed at any instant loses at most the
+  in-flight units::
+
+      {"schema": "repro-ledger/v1", "meta": {"experiment": "fig2", ...}}
+      {"seq": 0, "ts": 1754554000.21, "event": "campaign-started", ...}
+      {"seq": 1, "ts": 1754554000.30, "event": "done", "key": "9f...",
+       "unit": 0, "worker": "w0", "latency_s": 0.071}
+
+* unit outcomes — ``done`` / ``retried`` / ``quarantined`` — always
+  carry the unit's cache ``key``; the engine appends each exactly once
+  (a cache hit replayed on resume is skipped, and a hit in a fresh log
+  is marked ``"cached": true``).  The resume view (:meth:`status`,
+  :meth:`counts`) folds them last-status-wins per key;
+* every other event kind is context for ``repro report``:
+  ``campaign-started`` / ``campaign-finished`` (CLI), ``scheduled`` /
+  ``started`` / ``suspect`` / ``heartbeat-summary`` (the health
+  monitor), ``merged`` (the shard reduction), ``dist-published`` /
+  ``re-leased`` / ``worker-exit`` (the distributed coordinator);
+* the loader (:func:`read_journal`) is torn-line tolerant — a partial
+  final line (the write the kill interrupted) is skipped, never fatal.
 
 The journal never gates execution: results always come from the cache
 or a fresh simulation, so a stale or deleted journal can cost duplicate
@@ -27,20 +43,29 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .fingerprint import fingerprint
 
 __all__ = [
     "CampaignJournal",
-    "JournalEntry",
+    "JOURNAL_SCHEMA",
     "campaign_fingerprint",
+    "journal_path",
     "list_journals",
+    "read_journal",
 ]
 
+#: Schema identifier stamped into (and required of) every journal file.
+JOURNAL_SCHEMA = "repro-ledger/v1"
+
 #: Subdirectory of a cache root where campaign journals live.
-JOURNAL_DIRNAME = "journal"
+JOURNAL_DIRNAME = "ledger"
+
+#: The unit-outcome events the resume view folds.
+OUTCOMES = ("done", "retried", "quarantined")
 
 
 def campaign_fingerprint(experiment: str, scale: str, seed: int) -> str:
@@ -55,89 +80,110 @@ def campaign_fingerprint(experiment: str, scale: str, seed: int) -> str:
     return fingerprint("campaign", experiment, scale, seed)[:16]
 
 
-class JournalEntry:
-    """Latest known state of one unit (by cache key)."""
+def journal_path(cache_root, experiment: str, scale: str, seed: int) -> Path:
+    """Where the journal of one (experiment, scale, seed) campaign lives."""
+    fp = campaign_fingerprint(experiment, scale, seed)
+    return Path(cache_root) / JOURNAL_DIRNAME / f"{experiment}-{fp}.jsonl"
 
-    __slots__ = ("status", "attempts", "error")
 
-    def __init__(self, status: str, attempts: int = 0,
-                 error: Optional[str] = None) -> None:
-        self.status = status
-        self.attempts = attempts
-        self.error = error
+def read_journal(path) -> Tuple[dict, List[dict]]:
+    """Parse one journal file into ``(meta, events)``.
+
+    Torn-line tolerant (a killed writer's partial final line is skipped)
+    and schema-checked: a file whose header names a different schema
+    raises ``ValueError`` rather than being misread silently.
+    """
+    meta: dict = {}
+    events: List[dict] = []
+    with open(path, "r", encoding="utf-8") as f:
+        for line in f:
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue  # blank, or the torn final line of a killed writer
+            if "schema" in record:
+                if record["schema"] != JOURNAL_SCHEMA:
+                    raise ValueError(
+                        f"{path}: journal schema {record['schema']!r}, "
+                        f"expected {JOURNAL_SCHEMA!r}")
+                meta = record.get("meta", {})
+            elif "event" in record:
+                events.append(record)
+    return meta, events
+
+
+def _outcomes(events: Iterable[dict]) -> Dict[str, dict]:
+    """Each unit's latest outcome event, by key (last status wins)."""
+    latest: Dict[str, dict] = {}
+    for event in events:
+        if event["event"] in OUTCOMES and event.get("key"):
+            latest[event["key"]] = event
+    return latest
+
+
+def _counts(latest: Dict[str, dict]) -> Dict[str, int]:
+    counts = dict.fromkeys(OUTCOMES, 0)
+    for event in latest.values():
+        counts[event["event"]] += 1
+    return counts
 
 
 class CampaignJournal:
-    """Append-only JSONL ledger of unit outcomes for one campaign.
+    """Append-only JSONL event log for one campaign.
 
     Usage::
 
         journal = CampaignJournal.for_campaign(cache.root, "fig2",
                                                "small", seed=0)
-        journal.done(key)                      # as each unit settles
+        journal.done(key, unit=3, worker="w1", latency_s=0.2)
         journal.quarantined(key, "boom", 3)
+        journal.event("merged", shard=0, of=4)
         journal.counts()                       # {"done": 41, ...}
+
+    ``fresh=True`` discards any previous log; otherwise an existing one
+    is resumed (its torn tail terminated, its ``seq`` continued).
+    ``clock`` stamps ``ts`` and is injectable for deterministic tests.
     """
 
     def __init__(self, path, meta: Optional[dict] = None,
-                 fresh: bool = False) -> None:
+                 fresh: bool = False,
+                 clock: Callable[[], float] = time.time) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.entries: Dict[str, JournalEntry] = {}
-        self.meta: dict = {}
+        self.clock = clock
+        self.meta: dict = dict(meta or {})
+        self.entries: Dict[str, dict] = {}
+        self._seq = 0
         if fresh and self.path.exists():
             self.path.unlink()
-        if self.path.exists():
-            self._load()
+        existed = self.path.exists() and self.path.stat().st_size > 0
+        if existed:
+            self.meta, events = read_journal(self.path)
+            self.entries = _outcomes(events)
+            self._seq = events[-1].get("seq", -1) + 1 if events else 0
         self._file = open(self.path, "a", encoding="utf-8")
-        # a killed writer can leave a torn, newline-less final line; left
-        # as-is the next append would glue onto it and corrupt *both*
-        # records, so terminate it now (the loader skips the fragment)
-        if self._file.tell() > 0:
+        if existed:
+            # a killed writer can leave a torn, newline-less final line;
+            # left as-is the next append would glue onto it and corrupt
+            # *both* records, so terminate it now (the loader skips it)
             with open(self.path, "rb") as f:
                 f.seek(-1, os.SEEK_END)
                 if f.read(1) != b"\n":
-                    self._file.write("\n")
-                    self._file.flush()
-        if not self.meta and meta is not None:
-            self.meta = dict(meta)
-            self._append({"meta": self.meta})
+                    self._write("\n")
+        else:
+            self._write(json.dumps({"schema": JOURNAL_SCHEMA,
+                                    "meta": self.meta}) + "\n")
 
     @classmethod
     def for_campaign(cls, cache_root, experiment: str, scale: str,
                      seed: int, *, fresh: bool = False) -> "CampaignJournal":
-        """The journal for one (experiment, scale, seed) campaign under a
-        cache root; ``fresh=True`` discards any previous ledger."""
-        fp = campaign_fingerprint(experiment, scale, seed)
-        path = (Path(cache_root) / JOURNAL_DIRNAME
-                / f"{experiment}-{fp}.jsonl")
+        """The journal for one campaign under a cache root."""
         meta = {"experiment": experiment, "scale": scale, "seed": seed}
-        return cls(path, meta=meta, fresh=fresh)
+        return cls(journal_path(cache_root, experiment, scale, seed),
+                   meta=meta, fresh=fresh)
 
-    # -- persistence ---------------------------------------------------------
-
-    def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue  # torn final line from a killed writer
-                if "meta" in record:
-                    self.meta = record["meta"]
-                    continue
-                key = record.get("key")
-                status = record.get("status")
-                if not key or not status:
-                    continue
-                self.entries[key] = JournalEntry(
-                    status, record.get("attempts", 0), record.get("error"))
-
-    def _append(self, record: dict) -> None:
-        self._file.write(json.dumps(record) + "\n")
+    def _write(self, text: str) -> None:
+        self._file.write(text)
         self._file.flush()
 
     def close(self) -> None:
@@ -153,55 +199,54 @@ class CampaignJournal:
 
     # -- recording -----------------------------------------------------------
 
-    def record(self, key: str, status: str, attempts: int = 0,
-               error: Optional[str] = None,
-               worker: Optional[str] = None) -> None:
-        """Append one outcome line and update the in-memory view."""
-        entry = self.entries.get(key)
-        if (entry is not None and entry.status == status
-                and entry.attempts == attempts):
+    def event(self, event: str, **fields: Any) -> dict:
+        """Append one event (``None``-valued fields dropped); returns it."""
+        record: Dict[str, Any] = {"seq": self._seq,
+                                  "ts": round(self.clock(), 3),
+                                  "event": event}
+        record.update((k, v) for k, v in fields.items() if v is not None)
+        self._seq += 1
+        self._write(json.dumps(record) + "\n")
+        return record
+
+    def _outcome(self, event: str, key: str, attempts: int,
+                 fields: dict) -> None:
+        latest = self.entries.get(key)
+        if (latest is not None and latest["event"] == event
+                and latest.get("attempts", 0) == attempts):
             return  # idempotent: cache hits of already-done units
-        self.entries[key] = JournalEntry(status, attempts, error)
-        record = {"key": key, "status": status}
-        if attempts:
-            record["attempts"] = attempts
-        if error:
-            record["error"] = error
-        if worker:
-            record["worker"] = worker
-        self._append(record)
+        self.entries[key] = self.event(event, key=key,
+                                       attempts=attempts or None, **fields)
 
-    def done(self, key: str, attempts: int = 0,
-             worker: Optional[str] = None) -> None:
-        """Mark one unit complete (its result is in the cache);
-        ``worker`` attributes it to the (possibly remote) worker that
-        landed the artifact."""
-        self.record(key, "done", attempts, worker=worker)
+    def done(self, key: str, attempts: int = 0, **fields: Any) -> None:
+        """Mark one unit complete (its result is in the cache).
 
-    def failed(self, key: str, error: str, attempts: int,
-               worker: Optional[str] = None) -> None:
-        """Mark one failed attempt (the unit may yet be retried);
-        ``worker`` attributes it to the supervised worker lane."""
-        self.record(key, "failed", attempts, error, worker)
+        ``fields`` add what the executor knows: ``unit``, ``worker``,
+        ``latency_s``, or ``cached=True`` for a cache-hit replay.
+        """
+        self._outcome("done", key, attempts, fields)
+
+    def retried(self, key: str, error: str, attempts: int,
+                **fields: Any) -> None:
+        """Mark one failed attempt (the unit will be retried)."""
+        self._outcome("retried", key, attempts, dict(fields, error=error))
 
     def quarantined(self, key: str, error: str, attempts: int,
-                    worker: Optional[str] = None) -> None:
+                    **fields: Any) -> None:
         """Mark one unit poisoned: retries exhausted, excluded from results."""
-        self.record(key, "quarantined", attempts, error, worker)
+        self._outcome("quarantined", key, attempts,
+                      dict(fields, error=error))
 
     # -- queries -------------------------------------------------------------
 
     def status(self, key: str) -> Optional[str]:
-        """The unit's latest status, or ``None`` when never journaled."""
-        entry = self.entries.get(key)
-        return entry.status if entry is not None else None
+        """The unit's latest outcome, or ``None`` when never journaled."""
+        latest = self.entries.get(key)
+        return latest["event"] if latest is not None else None
 
     def counts(self) -> Dict[str, int]:
-        """Units per terminal status: done / failed / quarantined."""
-        counts = {"done": 0, "failed": 0, "quarantined": 0}
-        for entry in self.entries.values():
-            counts[entry.status] = counts.get(entry.status, 0) + 1
-        return counts
+        """Units per latest outcome: done / retried / quarantined."""
+        return _counts(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -210,30 +255,28 @@ class CampaignJournal:
 def list_journals(cache_root) -> List[dict]:
     """Summaries of every campaign journal under ``cache_root``.
 
-    Returns one dict per journal — metadata plus status counts and the
+    Returns one dict per journal — metadata plus outcome counts and the
     file's mtime — sorted by experiment name then path, for the
-    ``repro list`` campaign table.
+    ``repro list`` campaign table.  Files of another schema are skipped.
     """
     root = Path(cache_root) / JOURNAL_DIRNAME
     if not root.is_dir():
         return []
     summaries = []
     for path in sorted(root.glob("*.jsonl")):
-        journal = CampaignJournal(path)
         try:
-            counts = journal.counts()
-            summaries.append({
-                "path": str(path),
-                "experiment": journal.meta.get("experiment", path.stem),
-                "scale": journal.meta.get("scale", "?"),
-                "seed": journal.meta.get("seed", "?"),
-                "units": len(journal),
-                "done": counts["done"],
-                "failed": counts["failed"],
-                "quarantined": counts["quarantined"],
-                "updated": os.path.getmtime(path),
-            })
-        finally:
-            journal.close()
+            meta, events = read_journal(path)
+        except ValueError:
+            continue
+        latest = _outcomes(events)
+        summaries.append({
+            "path": str(path),
+            "experiment": meta.get("experiment", path.stem),
+            "scale": meta.get("scale", "?"),
+            "seed": meta.get("seed", "?"),
+            "units": len(latest),
+            **_counts(latest),
+            "updated": os.path.getmtime(path),
+        })
     summaries.sort(key=lambda s: (s["experiment"], s["path"]))
     return summaries

@@ -36,6 +36,7 @@ from __future__ import annotations
 import contextvars
 import dataclasses
 import os
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -206,8 +207,9 @@ class EngineOptions:
     a :class:`~repro.runner.supervise.SupervisionPolicy` sets the
     deadlines, retries and quarantine of supervised worker processes
     (and sends even ``jobs=1`` batches through them), a
-    :class:`~repro.runner.journal.CampaignJournal`
-    receives a write-ahead record as each unit settles, and a
+    :class:`~repro.runner.journal.CampaignJournal` receives one
+    outcome event (``done``/``retried``/``quarantined``) as each unit
+    settles, and a
     :class:`~repro.runner.supervise.FailureReport` accumulates whatever
     was quarantined.  ``sharding`` is the campaign-scaling layer: a
     :class:`~repro.runner.sharding.Sharding` policy that sharding-aware
@@ -370,23 +372,25 @@ _UNSUPERVISED = SupervisionPolicy(retry=RetryBudget(max_attempts=1))
 
 def _run_inline(worker: Callable[[Any], Any], items: Sequence[Any],
                 observer: NullRunObserver = NULL_OBSERVER,
-                on_unit: Optional[Callable[[int, Any], None]] = None
+                on_unit: Optional[Callable[..., None]] = None
                 ) -> List[Any]:
     """Run ``worker`` over ``items`` in this process, in input order.
 
     The reference path for ``jobs=1`` and single-unit batches: no worker
     process, no pickle round-trip, and the first exception propagates.
-    ``on_unit(index, result)`` is the durability hook: it fires as each
-    unit completes, letting the caller persist results incrementally so
-    a killed campaign keeps what it already computed.
+    ``on_unit(index, result, latency_s=...)`` is the durability hook: it
+    fires as each unit completes, letting the caller persist results
+    incrementally so a killed campaign keeps what it already computed.
     """
     if not observer.enabled and on_unit is None:
         return [worker(item) for item in items]
     results = []
     for index, item in enumerate(items):
+        started = time.perf_counter()
         result = worker(item)
         if on_unit is not None:
-            on_unit(index, result)
+            on_unit(index, result,
+                    latency_s=round(time.perf_counter() - started, 6))
         if observer.enabled:
             observer.unit_finished(result)
         results.append(result)
@@ -426,7 +430,7 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
             else:
                 results[i] = hit
                 if journal is not None:
-                    journal.done(key)  # idempotent replay on resume
+                    journal.done(key, cached=True)  # skipped on resume
     if observer.enabled:
         observer.batch_started(len(items), len(items) - len(pending))
     if health is not None:
@@ -437,14 +441,16 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
         rec.inc("engine.cache_hits", len(items) - len(pending))
         rec.inc("engine.cache_misses", len(pending))
 
-    def persist(local_index: int, result: Any) -> None:
+    def persist(local_index: int, result: Any, worker: Optional[str] = None,
+                latency_s: Optional[float] = None) -> None:
         i = pending[local_index]
         results[i] = result
         if keys is not None:
             if cache is not None:
                 cache.put(keys[i], result)
             if journal is not None:
-                journal.done(keys[i])
+                journal.done(keys[i], unit=local_index, worker=worker,
+                             latency_s=latency_s)
 
     pending_items = [items[i] for i in pending]
     if supervision is None and (jobs <= 1 or len(pending) <= 1):
@@ -470,21 +476,22 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
                       if describe is not None else None)
     keys_local = [keys[i] for i in pending] if keys is not None else None
 
-    def on_done(local_index: int, value: Any) -> None:
-        persist(local_index, value)
+    def on_done(local_index: int, value: Any, worker: str,
+                latency_s: float) -> None:
+        persist(local_index, value, worker, round(latency_s, 6))
         if observer.enabled:
             observer.unit_finished(value)
 
     def on_failure(failure: UnitFailure) -> None:
+        if journal is not None and failure.key is not None:
+            # batch-local ``unit``, like the health monitor's ``started``
+            record = (journal.quarantined if failure.final
+                      else journal.retried)
+            record(failure.key, failure.error, failure.attempts,
+                   unit=failure.index, label=failure.label,
+                   worker=failure.worker, kind=failure.kind)
         # remap the supervisor's batch-local index to the plan index
         failure.index = pending[failure.index]
-        if journal is not None and failure.key is not None:
-            if failure.final:
-                journal.quarantined(failure.key, failure.error,
-                                    failure.attempts, failure.worker)
-            else:
-                journal.failed(failure.key, failure.error, failure.attempts,
-                               failure.worker)
         if failure.final and failures is not None:
             failures.add(failure)
         if observer.enabled:

@@ -446,7 +446,7 @@ def run_supervised(
     policy: SupervisionPolicy,
     describe: Optional[Callable[[int], str]] = None,
     keys: Optional[Sequence[Optional[str]]] = None,
-    on_done: Optional[Callable[[int, Any], None]] = None,
+    on_done: Optional[Callable[[int, Any, str, float], None]] = None,
     on_failure: Optional[Callable[[UnitFailure], None]] = None,
     health: Optional[Any] = None,
 ) -> Tuple[List[Any], List[UnitFailure], int]:
@@ -455,8 +455,9 @@ def run_supervised(
     Returns ``(results, quarantined, retries)``: results in input order
     with :class:`FailedUnit` placeholders for quarantined units, the
     final :class:`UnitFailure` list (empty on a clean run), and the
-    number of retries spent.  ``on_done(index, value)`` fires in
-    *completion order* as units finish (the persistence hook);
+    number of retries spent.  ``on_done(index, value, lane, run_s)``
+    fires in *completion order* as units finish (the persistence hook),
+    naming the worker lane (``w0``, ...) and the unit's run time;
     ``on_failure(failure)`` fires on every failed attempt, with
     ``failure.final`` set on the quarantining one.
 
@@ -623,7 +624,8 @@ def run_supervised(
                 if health is not None:
                     health.unit_finished(lanes[slot], index)
                 if on_done is not None:
-                    on_done(index, payload[0])
+                    on_done(index, payload[0], lanes[slot],
+                            now - handle.started_at)
             else:
                 _failed_attempt(index, "exception", *payload,
                                 lane=lanes[slot])

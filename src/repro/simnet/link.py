@@ -36,9 +36,9 @@ the equivalence tests use to prove the two paths agree.
 Vectorized packet trains
 ------------------------
 
-Two further fast paths build on the train, both toggled by
-:data:`VECTOR_TRAINS` (env ``REPRO_VECTOR_TRAINS``) and both covered by
-the same byte-identity equivalence suite:
+Two further fast paths build on the train, both on whenever
+:data:`BATCH_DELIVERIES` is and both covered by the same byte-identity
+equivalence suite:
 
 * **Burst enqueue** — :meth:`Link.transmit_train` accepts a whole burst
   of equal-size segments and computes their serialization finish times
@@ -73,19 +73,12 @@ from .scheduler import EventScheduler, _HANDLE
 DeliverFn = Callable[[Any], None]
 TapFn = Callable[[float, Any], None]
 
-#: Global default for the packet-train delivery fast path.  Tests flip
-#: this to prove batched and unbatched runs are byte-identical, and the
-#: CI fast-path gate disables it (``REPRO_BATCH_DELIVERIES=0``) to time
-#: the scalar event-per-packet reference path; there is no reason to
-#: disable it otherwise.
+#: Global default for the packet-train fast paths: train delivery, burst
+#: enqueue and batched delivery.  Tests flip this to prove trained and
+#: scalar runs are byte-identical, and the CI fast-path gate disables it
+#: (``REPRO_BATCH_DELIVERIES=0``) to time the scalar event-per-packet
+#: reference path; there is no reason to disable it otherwise.
 BATCH_DELIVERIES = os.environ.get("REPRO_BATCH_DELIVERIES", "1").lower() not in (
-    "0", "false", "off")
-
-#: Global default for the vectorized packet-train paths (burst enqueue
-#: and batched delivery).  Overridable through the
-#: ``REPRO_VECTOR_TRAINS`` environment variable; the equivalence tests
-#: flip it per run to prove byte-identity against the scalar paths.
-VECTOR_TRAINS = os.environ.get("REPRO_VECTOR_TRAINS", "1").lower() not in (
     "0", "false", "off")
 
 
@@ -159,7 +152,6 @@ class Link:
         # head entry occupies the scheduler heap.
         self._train: Deque[Tuple[float, int, Any]] = deque()
         self._batch = BATCH_DELIVERIES
-        self._vector = VECTOR_TRAINS
         # True while _deliver_train() is draining the train: a transmit
         # re-entering this link then must not post a head event (the
         # batch posts exactly one for whatever remains when it ends).
@@ -357,7 +349,8 @@ class Link:
         and sequence numbers are reserved packet by packet.  Bursts that
         could differ from the scalar path — drop-tail pressure, a
         mixed-rate queue after ``set_rate``, a down link — fall back to
-        per-packet :meth:`transmit`.
+        per-packet :meth:`transmit`.  Part of the train path: only valid
+        on a link with batching on.
         """
         n = len(packets)
         if n == 0:
@@ -403,7 +396,6 @@ class Link:
         taps = self._taps
         loss_model = self.loss_model
         draw = None if type(loss_model) is NoLoss else loss_model.should_drop
-        batch = self._batch
         train = self._train
         tappend = train.append
         reserve = scheduler.reserve_seq
@@ -418,12 +410,9 @@ class Link:
             if draw is not None and draw():
                 stats.packets_lost += 1
                 continue
-            if batch:
-                tappend((finish + prop, reserve(), packet))
-                if len(train) == 1 and not self._in_batch:
-                    scheduler.post(train[0][0], train[0][1], self._deliver_next)
-            else:
-                scheduler.call_at(finish + prop, self._deliver, packet)
+            tappend((finish + prop, reserve(), packet))
+            if len(train) == 1 and not self._in_batch:
+                scheduler.post(train[0][0], train[0][1], self._deliver_next)
 
     def _resolve_fast(self, packet: Any) -> None:
         """(Re)fill the monomorphic receiver cache for ``packet``'s flow.
@@ -462,14 +451,14 @@ class Link:
         """Deliver the train's head and re-post the next reserved entry.
 
         The body of :meth:`_deliver` is inlined here — this runs once per
-        delivered packet on the loss-free fast path.  With
-        :data:`VECTOR_TRAINS` on, multi-entry trains are drained in one
-        event by :meth:`_deliver_train`, and even single deliveries try
-        the receiver's inline in-order fast path — pure inlining of the
-        demux + receive chain, with no event reordering involved.
+        delivered packet on the loss-free fast path.  Multi-entry trains
+        are drained in one event by :meth:`_deliver_train`, and even
+        single deliveries try the receiver's inline in-order fast path —
+        pure inlining of the demux + receive chain, with no event
+        reordering involved.
         """
         train = self._train
-        if self._vector and len(train) > 1:
+        if len(train) > 1:
             self._deliver_train()
             return
         _t, _seq, packet = train.popleft()
@@ -483,21 +472,20 @@ class Link:
             now = self.scheduler.clock._now
             for tap in self._delivery_taps:
                 tap(now, packet)
-        if self._vector:
-            # duck-typed: only TCP-segment-shaped packets (flow 4-tuple
-            # plus payload length) can take the inline receive path
-            try:
-                key = (packet.dst_port, packet.src_ip, packet.src_port)
-                plen = packet.payload_len
-            except AttributeError:
-                key = None
-            if key is not None:
-                if key != self._fast_key:
-                    self._resolve_fast(packet)
-                fn = self._fast_data_fn if plen else self._fast_ack_fn
-                if fn is not None and fn(packet):
-                    packet.release()
-                    return
+        # duck-typed: only TCP-segment-shaped packets (flow 4-tuple plus
+        # payload length) can take the inline receive path
+        try:
+            key = (packet.dst_port, packet.src_ip, packet.src_port)
+            plen = packet.payload_len
+        except AttributeError:
+            key = None
+        if key is not None:
+            if key != self._fast_key:
+                self._resolve_fast(packet)
+            fn = self._fast_data_fn if plen else self._fast_ack_fn
+            if fn is not None and fn(packet):
+                packet.release()
+                return
         self.deliver(packet)
         # The receiver is done with the segment (processing is synchronous
         # and the columnar taps copy fields out); pooled segments can be

@@ -587,13 +587,10 @@ class TcpConnection:
             transmit = self._transmit
             if transmit is None:
                 return False
+            # only a link on the train path (batching on) takes bursts
             link = getattr(transmit, "__self__", None)
-            if link is None or not getattr(link, "_vector", False):
-                self._transmit_train = False
-                return False
-            transmit_train = getattr(link, "transmit_train", None)
-            if transmit_train is None:
-                transmit_train = False
+            transmit_train = (link.transmit_train
+                              if getattr(link, "_batch", False) else False)
             self._transmit_train = transmit_train
         if transmit_train is False:
             return False

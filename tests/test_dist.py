@@ -33,11 +33,9 @@ import os
 import pickle
 import threading
 import time
-from types import SimpleNamespace
-
 import pytest
 
-from repro.obs.ledger import RunLedger, load_ledger
+from repro.obs import load_journal
 from repro.runner.cache import ResultCache
 from repro.runner.dist import (
     DistPolicy,
@@ -46,6 +44,7 @@ from repro.runner.dist import (
     WorkerOptions,
     run_worker,
 )
+from repro.runner.journal import CampaignJournal
 from repro.runner.pool import RunStats, engine_options
 from repro.runner.sharding import (
     ShardResult,
@@ -390,11 +389,11 @@ class TestCoordinator:
         thread.start()
 
         stats = RunStats()
-        ledger = RunLedger(tmp_path / "run.jsonl",
-                           meta={"experiment": "dist-test"})
-        with ledger, engine_options(
+        journal = CampaignJournal(tmp_path / "run.jsonl",
+                                  meta={"experiment": "dist-test"})
+        with journal, engine_options(
                 cache=ResultCache(tmp_path / "cache"), stats=stats,
-                health=SimpleNamespace(ledger=ledger),
+                journal=journal,
                 dist=DistPolicy(queue=str(tmp_path / "q"), workers=0,
                                 ttl=1.0, poll=0.05)):
             results = run_shards(_moments_shard, shards)
@@ -404,7 +403,7 @@ class TestCoordinator:
         assert stats.cache_hits == 1 and stats.cache_misses == 2
         assert [r.shard.index for r in results] == [0, 1, 2]
 
-        view = load_ledger(tmp_path / "run.jsonl")
+        view = load_journal(tmp_path / "run.jsonl")
         [release] = view.releases()
         assert release["previous"] == "doomed"
         assert release["worker"] == "rescuer"
@@ -412,9 +411,11 @@ class TestCoordinator:
         dist = view.distribution()
         assert dist["shards"] == 2 and dist["cache_hits"] == 1
         assert dist["re_leases"] == 1
-        done_workers = {e.get("worker") for e in view.events
-                       if e.get("event") == "done"}
-        assert done_workers == {"rescuer"}
+        done = [e for e in view.events if e.get("event") == "done"]
+        assert {e.get("worker") for e in done if not e.get("cached")} \
+            == {"rescuer"}
+        # one outcome per shard, each carrying its key
+        assert sorted(e["key"] for e in done) == sorted(keys)
 
     def test_failed_shard_aborts_the_campaign_unless_degraded(
             self, tmp_path):

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import CampaignCollector
-from repro.obs.ledger import load_ledger
+from repro.obs import CampaignCollector, load_journal
 from repro.runner import (
     CampaignAborted,
     CampaignJournal,
@@ -180,7 +179,7 @@ class TestKillAndResume:
         assert result.returncode == 1, result.stderr
         assert "campaign aborted" in result.stdout
         [ledger] = (tmp_path / "cache" / "ledger").glob("fig2-*.jsonl")
-        events = load_ledger(ledger).events
+        events = load_journal(ledger).events
         assert [e for e in events if e["event"] == "retried"] == []
         quarantined = [e for e in events if e["event"] == "quarantined"]
         assert [e["attempts"] for e in quarantined] == [1, 1]
@@ -209,7 +208,7 @@ class TestEngineDurability:
         journal = CampaignJournal(tmp_path / "j.jsonl")
         try:
             self._run(tmp_path, journal=journal)
-            assert journal.counts() == {"done": 3, "failed": 0,
+            assert journal.counts() == {"done": 3, "retried": 0,
                                         "quarantined": 0}
         finally:
             journal.close()

@@ -6,8 +6,8 @@ fast-forward and the vectorized packet-train path.  All of it lives under
 one invariant: **byte-identical results**.  These tests run full sessions
 across seven scenarios — every access profile, every ON/OFF strategy
 family, lossy links, and scripted faults — with each optimization layer
-(fast-forward, vectorized dispatch, train batching) toggled
-independently, and assert the MD5 digest over every export — packet
+(fast-forward, the packet-train path) toggled independently, and
+assert the MD5 digest over every export — packet
 records, flow records, metric samples, QoE — is identical to the
 everything-off reference run.
 """
@@ -51,24 +51,21 @@ SCENARIOS = {
         faults=FaultSchedule().outage(8.0, 3.0).degrade(15.0, 6.0, 0.4)),
 }
 
-# (fast_forward, vector, batching) — the everything-off triple is the
-# reference; each optimization is also dropped individually so a digest
-# mismatch pins the offending layer.
+# (fast_forward, batching) — the everything-off pair is the reference;
+# each optimization is also dropped individually so a digest mismatch
+# pins the offending layer.
 TOGGLES = {
-    "all-on": (True, True, True),
-    "no-fast-forward": (False, True, True),
-    "no-vector": (True, False, True),
-    "all-off": (False, False, False),
+    "all-on": (True, True),
+    "no-fast-forward": (False, True),
+    "no-trains": (True, False),
+    "all-off": (False, False),
 }
 
 
-def _run(scenario: dict, *, fast_forward: bool, vector: bool,
-         batching: bool):
+def _run(scenario: dict, *, fast_forward: bool, batching: bool):
     """One short session with each fast-path layer forced on or off."""
-    old = (sched_mod.FAST_FORWARD, link_mod.VECTOR_TRAINS,
-           link_mod.BATCH_DELIVERIES)
+    old = (sched_mod.FAST_FORWARD, link_mod.BATCH_DELIVERIES)
     sched_mod.FAST_FORWARD = fast_forward
-    link_mod.VECTOR_TRAINS = vector
     link_mod.BATCH_DELIVERIES = batching
     try:
         video = Video(video_id="equiv", duration=120.0,
@@ -82,8 +79,7 @@ def _run(scenario: dict, *, fast_forward: bool, vector: bool,
                                faults=scenario.get("faults"))
         return run_session(video, config)
     finally:
-        (sched_mod.FAST_FORWARD, link_mod.VECTOR_TRAINS,
-         link_mod.BATCH_DELIVERIES) = old
+        (sched_mod.FAST_FORWARD, link_mod.BATCH_DELIVERIES) = old
 
 
 def _record_tuples(result):
@@ -121,14 +117,13 @@ def test_exports_byte_identical_across_fastpath_toggles(name):
     """The non-negotiable contract: for each scenario, every toggle
     combination hashes to the same MD5 as the everything-off reference."""
     scenario = SCENARIOS[name]
-    reference = _exports(_run(scenario, fast_forward=False, vector=False,
+    reference = _exports(_run(scenario, fast_forward=False,
                               batching=False))
     ref_digest = _digest(reference)
-    for label, (ff, vec, batch) in TOGGLES.items():
+    for label, (ff, batch) in TOGGLES.items():
         if label == "all-off":
             continue
-        got = _exports(_run(scenario, fast_forward=ff, vector=vec,
-                            batching=batch))
+        got = _exports(_run(scenario, fast_forward=ff, batching=batch))
         if _digest(got) != ref_digest:
             # digest differs: diff the structured exports for a real
             # failure message instead of two opaque hashes
@@ -142,7 +137,7 @@ def test_fastpath_actually_engaged():
     Residence scenario must really stream, and a fast-forwarding session
     must log analytic jumps over its OFF periods."""
     result = _run(SCENARIOS["residence-short-onoff"], fast_forward=True,
-                  vector=True, batching=True)
+                  batching=True)
     assert len(result.capture) > 10_000  # the run really streamed
 
 
@@ -150,7 +145,7 @@ def test_fault_scenario_actually_faulted():
     """The faults scenario must arm and fire its outage + degradation
     inside the captured window, or it proves nothing."""
     result = _run(SCENARIOS["faults-outage-degrade"], fast_forward=True,
-                  vector=True, batching=True)
+                  batching=True)
     assert result.fault_log is not None
     kinds = {e.kind for e in result.fault_log.entries}
     assert "outage-start" in kinds

@@ -21,15 +21,18 @@ from repro.obs import (
     DashboardReporter,
     HealthMonitor,
     HealthPolicy,
-    RunLedger,
     Suspicion,
-    load_ledger,
+    load_journal,
 )
 from repro.runner import (
+    CampaignJournal,
     NullRunObserver,
     RetryBudget,
+    RunStats,
     SupervisionPolicy,
+    engine_options,
     run_supervised,
+    run_tasks,
 )
 
 #: Retry without waiting; generous deadline the tests must beat.
@@ -344,33 +347,35 @@ class TestSupervisedIntegration:
 
     def test_sigkilled_worker_attributed_in_ledger(self, tmp_path):
         """kill -9 mid-unit: the supervisor settles the corpse, the
-        monitor attributes the retry to the lane in the ledger, and the
+        engine attributes the retry to the lane in the journal, and the
         retried unit still completes — all well inside unit_timeout."""
         unit_timeout = 30.0
-        ledger = RunLedger(tmp_path / "run.jsonl",
-                           meta={"experiment": "kill-test"})
-        monitor = HealthMonitor(HealthPolicy(interval=0.1), ledger=ledger)
+        journal = CampaignJournal(tmp_path / "run.jsonl",
+                                  meta={"experiment": "kill-test"})
+        monitor = HealthMonitor(HealthPolicy(interval=0.1), journal=journal)
         spy = Spy()
-        monitor.attach(spy)
         policy = SupervisionPolicy(unit_timeout=unit_timeout, retry=FAST)
+        stats = RunStats()
         started = time.monotonic()
-        results, quarantined, retries = run_supervised(
-            _sigkill_once, [(str(tmp_path), 3)], jobs=1, policy=policy,
-            health=monitor, describe=lambda i: f"unit-{i}")
+        with journal, engine_options(journal=journal, health=monitor,
+                                     observer=spy, supervision=policy,
+                                     stats=stats):
+            results = run_tasks(_sigkill_once, [((str(tmp_path), 3),)],
+                                jobs=1, keys=["key-0"])
         elapsed = time.monotonic() - started
-        ledger.close()
         assert results == [9]
-        assert quarantined == []
-        assert retries == 1
+        assert stats.failed == 0
+        assert stats.retries == 1
         assert elapsed < unit_timeout
         assert "worker-lost" in [s.kind for s in spy.suspicions]
 
-        view = load_ledger(tmp_path / "run.jsonl")
+        view = load_journal(tmp_path / "run.jsonl")
         retried = [e for e in view.events if e["event"] == "retried"]
         assert len(retried) == 1
         assert retried[0]["worker"] == "w0"   # the attribution
         assert retried[0]["kind"] == "crash"
-        assert retried[0]["label"] == "unit-0"
+        assert retried[0]["key"] == "key-0"
+        assert retried[0]["label"].startswith("_sigkill_once(")
         lost = [e for e in view.suspicions() if e["kind"] == "worker-lost"]
         assert lost and lost[0]["worker"] == "w0"
         # the respawned worker finished the retry on the same lane
@@ -380,27 +385,29 @@ class TestSupervisedIntegration:
     def test_queued_units_are_attributed_to_their_own_lane_time(
             self, tmp_path):
         """One worker, three sleeping units: the worker always holds a
-        unit queued behind its running one.  Each ledger ``done`` event
+        unit queued behind its running one.  Each journal ``done`` event
         carries its own unit's key and a latency no shorter than the
         unit's sleep, and the lane shows every unit while it runs."""
         sleep = 0.4
-        ledger = RunLedger(tmp_path / "run.jsonl",
-                           meta={"experiment": "queue-test"})
-        monitor = HealthMonitor(HealthPolicy(interval=0.1), ledger=ledger)
+        journal = CampaignJournal(tmp_path / "run.jsonl",
+                                  meta={"experiment": "queue-test"})
+        monitor = HealthMonitor(HealthPolicy(interval=0.1), journal=journal)
         watcher = _LaneWatcher()
-        monitor.attach(watcher)
         keys = ["key-a", "key-b", "key-c"]
-        results, quarantined, retries = run_supervised(
-            _sleep_square, [(sleep, x) for x in range(3)], jobs=1,
-            policy=SupervisionPolicy(), health=monitor, keys=keys)
-        ledger.close()
+        stats = RunStats()
+        with journal, engine_options(journal=journal, health=monitor,
+                                     observer=watcher, stats=stats,
+                                     supervision=SupervisionPolicy()):
+            results = run_tasks(_sleep_square,
+                                [((sleep, x),) for x in range(3)],
+                                jobs=1, keys=keys)
         assert results == [0, 1, 4]
-        assert quarantined == [] and retries == 0
+        assert stats.failed == 0 and stats.retries == 0
 
-        done = [e for e in load_ledger(tmp_path / "run.jsonl").events
+        done = [e for e in load_journal(tmp_path / "run.jsonl").events
                 if e["event"] == "done"]
-        assert [(e["unit"], e.get("key")) for e in done] == list(
-            enumerate(keys))
+        assert [(e["unit"], e.get("key"), e["worker"]) for e in done] == [
+            (i, key, "w0") for i, key in enumerate(keys)]
         assert all(e["latency_s"] >= sleep for e in done)
         assert monitor.lanes()[0].busy_s >= 3 * sleep
         # beats land every 0.1 s during each 0.4 s unit

@@ -1,8 +1,9 @@
-"""Tests for the campaign journal: the write-ahead ledger behind --resume."""
+"""Tests for the campaign journal: the event log behind --resume."""
 
 import json
 
 from repro.runner import CampaignJournal, campaign_fingerprint, list_journals
+from repro.runner.journal import JOURNAL_SCHEMA
 
 
 KEY_A = "aa" + "0" * 38
@@ -30,20 +31,20 @@ class TestCampaignJournal:
             assert loaded.meta == {"experiment": "fig2"}
             assert loaded.status(KEY_A) == "done"
             assert loaded.status(KEY_B) == "quarantined"
-            assert loaded.entries[KEY_B].error == "boom"
-            assert loaded.entries[KEY_B].attempts == 3
-            assert loaded.counts() == {"done": 1, "failed": 0,
+            assert loaded.entries[KEY_B]["error"] == "boom"
+            assert loaded.entries[KEY_B]["attempts"] == 3
+            assert loaded.counts() == {"done": 1, "retried": 0,
                                        "quarantined": 1}
             assert len(loaded) == 2
 
     def test_last_status_wins(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with CampaignJournal(path) as journal:
-            journal.failed(KEY_A, "transient", 1)
+            journal.retried(KEY_A, "transient", 1)
             journal.done(KEY_A, attempts=2)
         with CampaignJournal(path) as loaded:
             assert loaded.status(KEY_A) == "done"
-            assert loaded.counts()["failed"] == 0
+            assert loaded.counts()["retried"] == 0
 
     def test_torn_final_line_is_skipped(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -51,7 +52,7 @@ class TestCampaignJournal:
             journal.done(KEY_A)
         # simulate a writer killed mid-append: a partial trailing line
         with open(path, "a", encoding="utf-8") as f:
-            f.write('{"key": "' + KEY_B + '", "sta')
+            f.write('{"seq": 1, "event": "done", "key": "' + KEY_B + '", "at')
         with CampaignJournal(path) as loaded:
             assert loaded.status(KEY_A) == "done"
             assert loaded.status(KEY_B) is None
@@ -66,8 +67,10 @@ class TestCampaignJournal:
         with CampaignJournal(path) as journal:
             for _ in range(5):
                 journal.done(KEY_A)
+        with CampaignJournal(path) as journal:
+            journal.done(KEY_A, cached=True)  # a cache hit on resume
         lines = [l for l in path.read_text().splitlines() if l]
-        assert len(lines) == 1  # no meta (none given), one outcome line
+        assert len(lines) == 2  # the header, one outcome line
 
     def test_status_of_unknown_key_is_none(self, tmp_path):
         with CampaignJournal(tmp_path / "j.jsonl") as journal:
@@ -78,7 +81,7 @@ class TestCampaignJournal:
         try:
             fp = campaign_fingerprint("fig2", "small", 1)
             assert journal.path.name == f"fig2-{fp}.jsonl"
-            assert journal.path.parent == tmp_path / "journal"
+            assert journal.path.parent == tmp_path / "ledger"
             assert journal.meta == {"experiment": "fig2", "scale": "small",
                                     "seed": 1}
         finally:
@@ -98,7 +101,8 @@ class TestCampaignJournal:
         with CampaignJournal.for_campaign(tmp_path, "fig2", "small", 1) as j:
             j.done(KEY_A)
         first = json.loads(j.path.read_text().splitlines()[0])
-        assert first == {"meta": {"experiment": "fig2", "scale": "small",
+        assert first == {"schema": JOURNAL_SCHEMA,
+                         "meta": {"experiment": "fig2", "scale": "small",
                                   "seed": 1}}
 
 

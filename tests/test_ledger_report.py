@@ -1,10 +1,10 @@
-"""Tests for the run ledger and ``repro report`` rendering.
+"""Tests for the campaign journal's event stream and ``repro report``.
 
 Half synthetic (a hand-built event stream exercises every loader and
 renderer path: torn lines, schema checks, resume sequencing, worker
-folding), half end-to-end: the acceptance test runs a real 4-shard
-campaign with ``--health`` and renders the complete report from the
-ledger it left behind.
+folding), half end-to-end: the acceptance tests run real campaigns —
+a 4-shard one with ``--health``, others without — and render the report
+from the one journal each leaves behind.
 """
 
 import json
@@ -13,15 +13,14 @@ import pytest
 
 from repro.cli import main
 from repro.obs import (
-    LEDGER_SCHEMA,
-    LedgerView,
-    RunLedger,
-    ledger_path,
-    load_ledger,
+    JournalView,
+    load_journal,
     render_html,
     render_report,
     write_report,
 )
+from repro.runner import CampaignJournal, journal_path
+from repro.runner.journal import JOURNAL_SCHEMA
 
 
 class FakeClock:
@@ -37,44 +36,48 @@ class FakeClock:
 
 
 def _write_campaign(path, clock=None):
-    """A small, fully-populated campaign ledger (two workers, one of
+    """A small, fully-populated campaign journal (two workers, one of
     everything the report renders)."""
     clock = clock or FakeClock()
-    ledger = RunLedger(path, meta={"experiment": "fig9", "scale": "small",
-                                   "seed": 3}, clock=clock)
-    ledger.event("campaign-started", experiment="fig9", jobs=2)
-    ledger.event("scheduled", units=3, cache_hits=1)
-    ledger.event("started", unit=0, label="u0", worker="w0")
-    ledger.event("started", unit=1, label="u1", worker="w1")
+    journal = CampaignJournal(path, meta={"experiment": "fig9",
+                                          "scale": "small", "seed": 3},
+                              clock=clock)
+    journal.event("campaign-started", experiment="fig9", jobs=2)
+    journal.event("scheduled", units=3, cache_hits=1)
+    journal.done("k2", cached=True)
+    journal.event("started", unit=0, label="u0", worker="w0")
+    journal.event("started", unit=1, label="u1", worker="w1")
     clock.advance(2.0)
-    ledger.event("done", unit=0, worker="w0", latency_s=2.0)
-    ledger.event("retried", unit=1, label="u1", worker="w1",
-                 kind="crash", error="exit 9", attempts=1)
-    ledger.event("suspect", kind="worker-lost", worker="w1", pid=77,
-                 unit=1, age_s=0.4, detail="crash: exit 9")
-    ledger.event("started", unit=1, label="u1", worker="w1")
+    journal.done("k0", unit=0, worker="w0", latency_s=2.0)
+    journal.retried("k1", "exit 9", 1, unit=1, label="u1", worker="w1",
+                    kind="crash")
+    journal.event("suspect", kind="worker-lost", worker="w1", pid=77,
+                  unit=1, age_s=0.4, detail="crash: exit 9")
+    journal.event("started", unit=1, label="u1", worker="w1")
     clock.advance(1.0)
-    ledger.event("done", unit=1, worker="w1", latency_s=1.0)
-    ledger.event("heartbeat-summary", parent_rss_kb=9000, workers=[
+    journal.done("k1", unit=1, worker="w1", latency_s=1.0)
+    journal.event("heartbeat-summary", parent_rss_kb=9000, workers=[
         {"worker": "w0", "pid": 50, "beats": 4, "rss_kb": 2048},
         {"worker": "w1", "pid": 77, "beats": 3, "rss_kb": 4096},
     ])
-    ledger.event("merged", campaign="fig9", shard=0, of=2, units=2)
-    ledger.event("campaign-finished", experiment="fig9", elapsed_s=3.0)
-    ledger.close()
+    journal.event("merged", campaign="fig9", shard=0, of=2, units=2)
+    journal.event("campaign-finished", experiment="fig9", elapsed_s=3.0)
+    journal.close()
     return path
 
 
 class TestRunLedger:
     def test_roundtrip_header_events_and_counts(self, tmp_path):
         path = _write_campaign(tmp_path / "run.jsonl")
-        view = load_ledger(path)
-        assert view.schema == LEDGER_SCHEMA
+        view = load_journal(path)
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["schema"] == JOURNAL_SCHEMA
         assert view.meta == {"experiment": "fig9", "scale": "small",
                              "seed": 3}
         counts = view.counts()
         assert counts["started"] == 3
         assert counts["done"] == 2
+        assert counts["cached"] == 1     # the replay is not work done
         assert counts["retried"] == 1
         assert view.units_scheduled() == 3
         assert view.cache_hits() == 1
@@ -82,9 +85,9 @@ class TestRunLedger:
         assert [e["seq"] for e in view.events] == list(range(len(view.events)))
 
     def test_none_fields_are_dropped(self, tmp_path):
-        ledger = RunLedger(tmp_path / "run.jsonl")
-        ledger.event("started", unit=0, key=None, worker="w0")
-        ledger.close()
+        journal = CampaignJournal(tmp_path / "run.jsonl")
+        journal.event("started", unit=0, key=None, worker="w0")
+        journal.close()
         line = (tmp_path / "run.jsonl").read_text().splitlines()[1]
         record = json.loads(line)
         assert "key" not in record
@@ -94,29 +97,31 @@ class TestRunLedger:
         path = _write_campaign(tmp_path / "run.jsonl")
         with open(path, "a", encoding="utf-8") as f:
             f.write('{"seq": 99, "ts": 123.0, "event": "do')  # the kill
-        view = load_ledger(path)
+        view = load_journal(path)
         assert all(e["seq"] != 99 for e in view.events)
         assert view.counts()["done"] == 2
 
     def test_resume_terminates_torn_line_and_continues_seq(self, tmp_path):
         path = _write_campaign(tmp_path / "run.jsonl")
-        last_seq = load_ledger(path).events[-1]["seq"]
+        last_seq = load_journal(path).events[-1]["seq"]
         with open(path, "a", encoding="utf-8") as f:
             f.write('{"torn')
-        resumed = RunLedger(path)                 # fresh=False: append
+        resumed = CampaignJournal(path)           # fresh=False: append
+        assert resumed.status("k1") == "done"     # the resume view
         resumed.event("scheduled", units=1, cache_hits=1)
         resumed.close()
-        view = load_ledger(path)
+        view = load_journal(path)
         assert view.events[-1]["event"] == "scheduled"
         assert view.events[-1]["seq"] == last_seq + 1
         assert view.units_scheduled() == 4
 
     def test_fresh_discards_previous_log(self, tmp_path):
         path = _write_campaign(tmp_path / "run.jsonl")
-        ledger = RunLedger(path, meta={"experiment": "fig9"}, fresh=True)
-        ledger.event("scheduled", units=1, cache_hits=0)
-        ledger.close()
-        view = load_ledger(path)
+        journal = CampaignJournal(path, meta={"experiment": "fig9"},
+                                  fresh=True)
+        journal.event("scheduled", units=1, cache_hits=0)
+        journal.close()
+        view = load_journal(path)
         assert view.counts() == {"scheduled": 1}
         assert view.events[0]["seq"] == 0
 
@@ -124,20 +129,22 @@ class TestRunLedger:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"schema": "repro-ledger/v99", "meta": {}}\n')
         with pytest.raises(ValueError, match="repro-ledger/v99"):
-            load_ledger(path)
+            load_journal(path)
+        with pytest.raises(ValueError, match="repro-ledger/v99"):
+            CampaignJournal(path)
 
     def test_for_campaign_names_by_fingerprint(self, tmp_path):
-        ledger = RunLedger.for_campaign(tmp_path, "fig9", "small", 3)
-        ledger.close()
-        expected = ledger_path(tmp_path, "fig9", "small", 3)
-        assert ledger.path == expected
+        journal = CampaignJournal.for_campaign(tmp_path, "fig9", "small", 3)
+        journal.close()
+        expected = journal_path(tmp_path, "fig9", "small", 3)
+        assert journal.path == expected
         assert expected.exists()
         assert expected.parent.name == "ledger"
         # a different seed lands in a different file
-        assert ledger_path(tmp_path, "fig9", "small", 4) != expected
+        assert journal_path(tmp_path, "fig9", "small", 4) != expected
 
     def test_workers_folds_unit_and_summary_events(self, tmp_path):
-        view = load_ledger(_write_campaign(tmp_path / "run.jsonl"))
+        view = load_journal(_write_campaign(tmp_path / "run.jsonl"))
         workers = view.workers()
         assert set(workers) == {"w0", "w1"}
         assert workers["w0"]["done"] == 1
@@ -151,7 +158,7 @@ class TestRunLedger:
 
 class TestRenderReport:
     def _view(self, tmp_path):
-        return load_ledger(_write_campaign(tmp_path / "run.jsonl"))
+        return load_journal(_write_campaign(tmp_path / "run.jsonl"))
 
     def test_contains_every_section(self, tmp_path):
         markdown = render_report(self._view(tmp_path))
@@ -166,8 +173,8 @@ class TestRenderReport:
         assert "exit 9" in markdown
 
     def test_empty_ledger_renders_without_crashing(self, tmp_path):
-        markdown = render_report(LedgerView(LEDGER_SCHEMA, {}, []))
-        assert "(empty ledger)" in markdown
+        markdown = render_report(JournalView({}, []))
+        assert "(empty journal)" in markdown
 
     def test_bench_history_section_is_optional(self, tmp_path):
         no_bench = render_report(self._view(tmp_path), bench_dir=tmp_path)
@@ -219,6 +226,93 @@ class TestReportCli:
         # 3 strategy campaigns × 4 shards each
         assert "- Shards merged: 12" in out
         assert "| w0 |" in out
+
+    def _one_journal(self, cache):
+        """The single event log a cached campaign leaves, loaded."""
+        [path] = cache.rglob("*.jsonl")
+        assert path.parent == cache / "ledger"
+        return load_journal(path)
+
+    def _assert_one_done_per_unit(self, view, units):
+        done = [e for e in view.events if e["event"] == "done"]
+        keys = [e["key"] for e in done]
+        assert len(keys) == len(set(keys)) == units
+
+    def test_health_campaign_keeps_one_log_one_done_per_unit(
+            self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        code = main(["experiment", "fig2", "--scale", "small", "--seed",
+                     "1", "--jobs", "2", "--health",
+                     "--cache-dir", str(cache)])
+        assert code == 0
+        capsys.readouterr()
+        view = self._one_journal(cache)
+        self._assert_one_done_per_unit(view, 2)
+        started = {e["key"] for e in view.events
+                   if e["event"] == "started"}
+        assert {e["key"] for e in view.events
+                if e["event"] == "done"} == started
+        assert {e["worker"] for e in view.events
+                if e["event"] == "done"} <= {"w0", "w1"}
+
+    def test_distributed_campaign_keeps_one_log(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        code = main(["experiment", "model_validation", "--scale", "small",
+                     "--sessions", "8", "--shard-size", "4",
+                     "--distributed", "--workers", "2", "--lease-ttl",
+                     "20", "--cache-dir", str(cache)])
+        assert code == 0
+        capsys.readouterr()
+        view = self._one_journal(cache)
+        # 3 strategy campaigns × 2 shards, plus one local unit
+        assert view.distribution()["shards"] == 6
+        self._assert_one_done_per_unit(view, 7)
+        workers = {e.get("worker") for e in view.events
+                   if e["event"] == "done" and "shard" in e}
+        assert workers <= {"local-w0", "local-w1"}
+        assert view.counts()["campaign-finished"] == 1
+
+    def test_default_campaign_log_renders_a_report(self, tmp_path, capsys):
+        """No --health: the campaign still leaves the one log, and
+        `repro report` says what ran and how long each unit took."""
+        cache = tmp_path / "cache"
+        code = main(["experiment", "fig2", "--scale", "small", "--seed",
+                     "1", "--cache-dir", str(cache)])
+        assert code == 0
+        capsys.readouterr()
+        self._assert_one_done_per_unit(self._one_journal(cache), 2)
+        code = main(["report", "fig2", "--seed", "1", "--cache-dir",
+                     str(cache)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "- Units: 0 cache hits, 2 done, 0 retried, 0 quarantined" \
+            in out
+        assert "## Timeline" in out
+        assert "## Unit latencies" in out
+
+    def test_warm_prefix_does_not_inflate_the_report(self, tmp_path,
+                                                     capsys):
+        """A --health campaign grown over a warm cache: the replayed
+        hits are recorded, but the report counts only the work done."""
+        cache = tmp_path / "cache"
+        base = ["experiment", "model_validation", "--scale", "small",
+                "--shard-size", "2", "--jobs", "2", "--cache-dir",
+                str(cache)]
+        assert main(base + ["--sessions", "8"]) == 0
+        assert main(base + ["--sessions", "12", "--health"]) == 0
+        capsys.readouterr()
+        view = self._one_journal(cache)
+        assert view.counts()["cached"] == 13
+        assert main(["report", "model_validation", "--cache-dir",
+                     str(cache)]) == 0
+        out = capsys.readouterr().out
+        assert ("- Units: 19 scheduled (13 cache hits), 6 done, "
+                "0 retried, 0 quarantined") in out
+        workers = view.workers()
+        assert sum(lane["done"] for lane in workers.values()) == 6
+        assert len(view.unit_latencies()) == 6
+        assert sum(lane["busy_s"] for lane in workers.values()) \
+            == pytest.approx(sum(view.unit_latencies()))
 
     def test_report_out_renders_html(self, tmp_path, capsys):
         view_path = _write_campaign(tmp_path / "run.jsonl")

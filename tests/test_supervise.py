@@ -240,7 +240,7 @@ class TestRunSupervised:
         policy = SupervisionPolicy(retry=FAST)
         results, _, _ = run_supervised(
             _square, [2, 3], jobs=1, policy=policy,
-            on_done=lambda i, v: seen.append((i, v)))
+            on_done=lambda i, v, lane, run_s: seen.append((i, v)))
         assert sorted(seen) == [(0, 4), (1, 9)]
         assert results == [4, 9]
 

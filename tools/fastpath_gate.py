@@ -3,8 +3,8 @@
 
 Runs the gate workload (a receive-window-throttled 2 Mbps stream on the
 clean 100 Mbps Research profile, the paper's long ON/OFF cycle shape)
-with every analytic fast-path layer on, then off — fast-forward,
-vectorized train dispatch, and delivery batching together — and fails
+with every analytic fast-path layer on, then off — fast-forward and the
+packet-train path (batched and vectorized delivery) together — and fails
 unless
 
 * the two legs export **byte-identical** results (MD5 over packet
@@ -42,10 +42,8 @@ def run_leg(fast: bool):
     from repro.streaming.session import SessionConfig, run_session
     from repro.workloads import MBPS, Video
 
-    old = (sched_mod.FAST_FORWARD, link_mod.VECTOR_TRAINS,
-           link_mod.BATCH_DELIVERIES)
+    old = (sched_mod.FAST_FORWARD, link_mod.BATCH_DELIVERIES)
     sched_mod.FAST_FORWARD = fast
-    link_mod.VECTOR_TRAINS = fast
     link_mod.BATCH_DELIVERIES = fast
     try:
         video = Video(video_id="gate", duration=900.0,
@@ -58,8 +56,7 @@ def run_leg(fast: bool):
         result = run_session(video, config)
         wall = time.perf_counter() - started
     finally:
-        (sched_mod.FAST_FORWARD, link_mod.VECTOR_TRAINS,
-         link_mod.BATCH_DELIVERIES) = old
+        (sched_mod.FAST_FORWARD, link_mod.BATCH_DELIVERIES) = old
 
     records = [
         (r.timestamp, r.src_ip, r.src_port, r.dst_ip, r.dst_port, r.seq,
