@@ -272,6 +272,11 @@ def run_shards_distributed(
             cursor += 1
 
     def land(i: int) -> bool:
+        # a worker stores the artifact before it writes the done marker;
+        # landing waits for the marker, so the journal's done event
+        # always carries the marker's attribution
+        if not queue.is_done(keys[i]):
+            return False
         artifact = store.get(keys[i])
         if artifact is None:
             return False

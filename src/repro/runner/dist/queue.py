@@ -36,10 +36,14 @@ so it needs no daemon and no locks:
   unique tombstone — rename is atomic, so exactly one stealer wins —
   and then claims fresh.  The tombstone's content names the previous
   holder, which is how re-leases are attributed in the campaign journal.
-* **Complete** — ``O_CREAT | O_EXCL`` on the done marker.  Duplicate
-  completions (a presumed-dead worker that was merely slow) are
-  harmless: the artifact store write is idempotent (same key, same
-  bytes) and the second done marker loses the race and is dropped.
+* **Complete** — the done marker's record is written to a temp file
+  and ``os.link``\\ ed into place, which fails on an existing name like
+  ``O_EXCL`` does, so a marker is never seen without its record.  The
+  worker stores the artifact first, and the coordinator lands a shard
+  only once its marker exists.  Duplicate completions (a presumed-dead
+  worker that was merely slow) are harmless: the artifact store write
+  is idempotent (same key, same bytes) and the second done marker loses
+  the race and is dropped.
 
 TTLs compare a lease's mtime against the *observer's* clock, so hosts
 sharing one queue should have loosely synchronized clocks (NTP-grade
@@ -51,6 +55,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -206,13 +211,23 @@ class FileShardQueue(ShardQueue):
         path.write_text(json.dumps(record), encoding="utf-8")
 
     def _marker(self, path: Path, record: dict) -> bool:
-        """Create a write-once marker; ``False`` when it already exists."""
+        """Create a write-once marker; ``False`` when it already exists.
+
+        The record goes to a private temp file that is then hard-linked
+        into place: ``link`` refuses an existing name just like
+        ``O_EXCL`` (and is NFS-safe), and no reader ever sees the marker
+        without its record.
+        """
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
+                                   dir=path.parent)
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                f.write(json.dumps(record))
+            os.link(tmp, path)
         except FileExistsError:
             return False
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(json.dumps(record))
+        finally:
+            os.unlink(tmp)
         return True
 
     # -- publishing ----------------------------------------------------------

@@ -485,9 +485,11 @@ class PlayerBase:
         conn.http_stream = stream  # type: ignore[attr-defined]
         self._attach_job(conn, stream, job)
         conn.on_data = self._job_on_data
-        # The greedy drain chain above is exactly what the batched-
-        # delivery fast path replicates inline; mark the connection
-        # eligible (per-job throttling is re-checked per segment).
+        # Mark the connection eligible for the batched-delivery fast
+        # path.  It replicates _job_on_data per segment: the greedy drain
+        # chain (stream.take of everything) inline, and a job's own
+        # on_data reader (PullPlayer) called as-is, so the reader alone
+        # decides how much of the socket it drains.
         conn._fast_app = True
         conn.on_closed = self._on_conn_closed
 

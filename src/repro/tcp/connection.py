@@ -848,13 +848,16 @@ class TcpConnection:
 
         Called by :meth:`~repro.simnet.link.Link._deliver_train` instead
         of the generic demux.  Handles exactly one case — an in-order
-        data segment with a no-op ACK arriving mid-body on an idle-send
-        connection whose application drains greedily — and replicates
-        the generic path's writes in their exact order, so the results
+        data segment with a no-op ACK arriving mid-body, into an empty
+        receive buffer, on an idle-send connection — and replicates the
+        generic path's writes in their exact order, so the results
         (including every ACK's timing, window and the advertised-window
-        bookkeeping) are bit-equal.  Every guard below is a pure read:
-        returning ``False`` leaves no trace and the caller re-dispatches
-        through the generic :meth:`on_segment` path.
+        bookkeeping) are bit-equal.  A greedy application's drain chain
+        is inlined; a throttled reader (the job's ``on_data``, e.g. the
+        PullPlayer) is called exactly where the generic path calls it and
+        decides itself how much to read.  Every guard below is a pure
+        read: returning ``False`` leaves no trace and the caller
+        re-dispatches through the generic :meth:`on_segment` path.
 
         Returns ``0`` (refused), ``1`` (handled), or ``2`` (handled and
         a *new* timer event entered the scheduler heap — the batching
@@ -864,9 +867,6 @@ class TcpConnection:
         # -- guards (reads only) ------------------------------------------
         if not self._fast_app or self.state != ESTABLISHED:
             return False
-        job = self._job
-        if job is not None and job.on_data is not None:
-            return False  # throttled reader (PullPlayer): generic drain
         flags = seg.flags
         if flags != ACK and flags != ACK | PSH:
             return False
@@ -956,8 +956,14 @@ class TcpConnection:
             new_timer = self._delack_timer
             self._schedule_delack()
             new_timer = self._delack_timer is not new_timer
-        # application drain: HttpResponseStream.take consuming the single
-        # in-order chunk mid-body — read_discard, then _after_app_read,
+        job = self._job
+        if job is not None and job.on_data is not None:
+            # throttled reader: _job_on_data hands the segment to it, and
+            # it may read all, part or none of the chunk
+            job.on_data(self, hs)
+            return 2 if new_timer else 1
+        # greedy application drain: HttpResponseStream.take consuming the
+        # single in-order chunk mid-body — read_discard, then _after_app_read,
         # then _account_body, exactly as the generic chain orders them.
         rb._inorder.clear()
         rb._unread = 0
@@ -1001,10 +1007,13 @@ class TcpConnection:
 
         The mirror image of :meth:`_fast_inorder_data`: called by the
         link's batched delivery for zero-payload segments, it handles
-        exactly one case — a pure ACK that advances ``snd_una`` on an
-        ESTABLISHED connection outside recovery, with persist idle and
-        no FIN in either direction — and replicates the
-        ``on_segment`` -> ``_process_ack`` writes in their exact order.
+        exactly one case — a pure ACK that advances ``snd_una`` outside
+        recovery, with persist idle, no FIN from the peer and none sent —
+        and replicates the ``on_segment`` -> ``_process_ack`` writes in
+        their exact order.  The connection may be ESTABLISHED or in
+        FIN_WAIT_1 with its FIN still queued behind unsent data (a server
+        that queued a whole response, then closed): until the FIN is
+        sent, ``_process_ack`` treats both states alike.
         ``_try_send`` stays a real call (transmitting the window the ACK
         opened is the actual work); only the dispatch and bookkeeping
         around it are inlined.  Every guard is a pure read, so a
@@ -1015,13 +1024,16 @@ class TcpConnection:
         retransmit or persist timer the batching caller must respect.
         """
         # -- guards (reads only) ------------------------------------------
-        if self.state != ESTABLISHED or seg.flags != ACK or seg.payload_len:
+        state = self.state
+        if state != ESTABLISHED and state != FIN_WAIT_1:
+            return False
+        if seg.flags != ACK or seg.payload_len:
             return False
         ack_off = seg.ack - self.iss - 1
         una = self.snd_una_off
         if ack_off <= una or ack_off > self.snd_nxt_off:
             return False  # dupack / stale / beyond-snd_nxt: generic path
-        if self._fin_sent or self._fin_pending or self._peer_fin_off is not None:
+        if self._fin_sent or self._peer_fin_off is not None:
             return False
         cc = self.cc
         if cc.in_recovery:
@@ -1061,7 +1073,8 @@ class TcpConnection:
             self._restart_rexmit_timer()
         else:
             self._rexmit_deadline = None  # inlined _cancel_rexmit_timer
-        if self.stream._length > snd_nxt:
+        # _process_ack's _try_send condition; _fin_sent is False here
+        if self.stream._length > snd_nxt or self._fin_pending:
             self._try_send()
         if self._rexmit_timer is not rexmit_before or self._persist_timer is not None:
             return 2

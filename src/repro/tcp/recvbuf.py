@@ -7,11 +7,16 @@ oscillation of Figures 2(b) and 6(a).
 
 ``window = capacity - unread_in_order - out_of_order_held``; reading frees
 space and re-opens the window.
+
+Out-of-order segments are held by start offset, with a min-heap of those
+starts beside them: a hole that is still open costs one comparison per
+arrival, and each segment the hole-fill releases costs one heap pop.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Deque, Dict, List, Optional, Tuple
 
 
@@ -26,6 +31,7 @@ class ReceiveBuffer:
         self._inorder: Deque[Tuple[int, Optional[bytes]]] = deque()
         self._unread = 0                 # bytes readable by the application
         self._ooo: Dict[int, Tuple[int, Optional[bytes]]] = {}
+        self._ooo_starts: List[int] = []  # min-heap of the keys of _ooo
         self._ooo_bytes = 0
         self.total_delivered = 0         # in-order bytes ever made readable
         self._right_edge = capacity      # highest promised rcv_nxt + window
@@ -114,38 +120,38 @@ class ReceiveBuffer:
 
     def _store_ooo(self, seq: int, length: int, payload: Optional[bytes]) -> None:
         existing = self._ooo.get(seq)
-        if existing is not None and existing[0] >= length:
+        if existing is None:
+            heappush(self._ooo_starts, seq)
+        elif existing[0] >= length:
             return  # duplicate out-of-order segment
-        if existing is not None:
+        else:
             self._ooo_bytes -= existing[0]
         self._ooo[seq] = (length, payload)
         self._ooo_bytes += length
 
     def _drain_ooo(self) -> int:
-        """Move now-contiguous out-of-order segments into the in-order queue."""
+        """Move now-contiguous out-of-order segments into the in-order queue.
+
+        Held segments leave in start order.  While the lowest start is at
+        or below ``rcv_nxt`` that segment either covers ``rcv_nxt`` (its
+        new tail is delivered) or ends at or below it (stale, dropped);
+        a lowest start beyond ``rcv_nxt`` means the hole is still open.
+        """
+        ooo = self._ooo
+        starts = self._ooo_starts
         delivered = 0
-        while self._ooo:
-            # find a stored segment covering rcv_nxt
-            hit = None
-            for seq, (length, payload) in self._ooo.items():
-                if seq <= self.rcv_nxt < seq + length:
-                    hit = seq
-                    break
-                if seq + length <= self.rcv_nxt:
-                    hit = seq  # fully stale; discard below
-                    break
-            if hit is None:
-                break
-            length, payload = self._ooo.pop(hit)
+        while starts and starts[0] <= self.rcv_nxt:
+            seq = heappop(starts)
+            length, payload = ooo.pop(seq)
             self._ooo_bytes -= length
-            end = hit + length
-            if end <= self.rcv_nxt:
+            end = seq + length
+            rcv_nxt = self.rcv_nxt
+            if end <= rcv_nxt:
                 continue  # stale
-            if hit < self.rcv_nxt:
-                skip = self.rcv_nxt - hit
+            if seq < rcv_nxt:
                 if payload is not None:
-                    payload = payload[skip:]
-                length = end - self.rcv_nxt
+                    payload = payload[rcv_nxt - seq:]
+                length = end - rcv_nxt
             delivered += self._append_inorder(length, payload)
         return delivered
 

@@ -4,10 +4,10 @@ PR 5 rebuilt the hot path (tuple heap entries, packet-train batching,
 pooled segments, columnar capture); PR 8 added the analytic OFF-period
 fast-forward and the vectorized packet-train path.  All of it lives under
 one invariant: **byte-identical results**.  These tests run full sessions
-across seven scenarios — every access profile, every ON/OFF strategy
-family, lossy links, and scripted faults — with each optimization layer
-(fast-forward, the packet-train path) toggled independently, and
-assert the MD5 digest over every export — packet
+across eight scenarios — every access profile, every ON/OFF strategy
+family, both services, lossy links, and scripted faults — with each
+optimization layer (fast-forward, the packet-train path) toggled
+independently, and assert the MD5 digest over every export — packet
 records, flow records, metric samples, QoE — is identical to the
 everything-off reference run.
 """
@@ -24,15 +24,19 @@ from repro.simnet.faults import FaultSchedule
 from repro.simnet.profiles import ACADEMIC, HOME, RESEARCH, RESIDENCE
 from repro.streaming import Application, Service
 from repro.streaming.session import SessionConfig, run_session
+from repro.tcp.connection import TcpConnection
 from repro.tcp.constants import ACK, header_overhead
 from repro.tcp.segment import TcpSegment
-from repro.workloads import MBPS, Video
+from repro.workloads import MBPS, Video, generate_netflix_catalog
 
-# The seven equivalence scenarios.  Together they cover every access
+# The eight equivalence scenarios.  Together they cover every access
 # profile, loss model (Bernoulli, bursty Gilbert-Elliott, near-clean),
 # every ON/OFF strategy family (short-block Flash, bulk no-ON/OFF,
-# client-throttled long-block), and scripted faults (link outage +
-# bandwidth degradation over a lossy link).
+# client-throttled long-block), both services (Netflix on iOS: many
+# short connections, window-update heavy) and scripted faults (link
+# outage + bandwidth degradation over a lossy link).  YouTube scenarios
+# stream a 2 Mbps, 120 s video in their ``container``; a scenario may
+# name its own ``service`` and ``video`` instead.
 SCENARIOS = {
     "residence-short-onoff": dict(
         profile=RESIDENCE, seed=7, container="flv", app=Application.FIREFOX),
@@ -49,6 +53,10 @@ SCENARIOS = {
     "faults-outage-degrade": dict(
         profile=RESIDENCE, seed=13, container="flv", app=Application.FIREFOX,
         faults=FaultSchedule().outage(8.0, 3.0).degrade(15.0, 6.0, 0.4)),
+    "netflix-ios-academic": dict(
+        profile=ACADEMIC, seed=17, app=Application.IOS,
+        service=Service.NETFLIX,
+        video=generate_netflix_catalog("Equiv", 1, seed=0)[0]),
 }
 
 # (fast_forward, batching) — the everything-off pair is the reference;
@@ -68,11 +76,12 @@ def _run(scenario: dict, *, fast_forward: bool, batching: bool):
     sched_mod.FAST_FORWARD = fast_forward
     link_mod.BATCH_DELIVERIES = batching
     try:
-        video = Video(video_id="equiv", duration=120.0,
-                      encoding_rate_bps=2 * MBPS,
-                      resolution="360p", container=scenario["container"])
+        video = scenario.get("video") or Video(
+            video_id="equiv", duration=120.0, encoding_rate_bps=2 * MBPS,
+            resolution="360p", container=scenario["container"])
         config = SessionConfig(profile=scenario["profile"],
-                               service=Service.YOUTUBE,
+                               service=scenario.get("service",
+                                                    Service.YOUTUBE),
                                application=scenario["app"],
                                capture_duration=30.0,
                                seed=scenario["seed"],
@@ -132,13 +141,68 @@ def test_exports_byte_identical_across_fastpath_toggles(name):
                         "exports (repr instability)")
 
 
-def test_fastpath_actually_engaged():
+def _spy_fast_paths(monkeypatch):
+    """Record every inline-path verdict as ``(kind, tag, handled)``.
+
+    The links look ``_fast_pure_ack`` / ``_fast_inorder_data`` up on the
+    connection, so wrapping the class attributes sees every call.  The
+    tag is read before the call: the receiving connection's local port
+    for an ACK; for data, the PullPlayer's phase, or ``None`` for a job
+    without its own reader.
+    """
+    calls = []
+    fast_ack = TcpConnection._fast_pure_ack
+    fast_data = TcpConnection._fast_inorder_data
+
+    def spy_ack(conn, seg):
+        port = conn.local_port
+        handled = fast_ack(conn, seg)
+        calls.append(("ack", port, bool(handled)))
+        return handled
+
+    def spy_data(conn, seg):
+        job = conn._job
+        reader = None if job is None else job.on_data
+        phase = None if reader is None else (
+            "buffering" if reader.__self__._buffering else "throttled")
+        handled = fast_data(conn, seg)
+        calls.append(("data", phase, bool(handled)))
+        return handled
+
+    monkeypatch.setattr(TcpConnection, "_fast_pure_ack", spy_ack)
+    monkeypatch.setattr(TcpConnection, "_fast_inorder_data", spy_data)
+    return calls
+
+
+def _inline_share(calls, kind, tag):
+    verdicts = [handled for k, t, handled in calls if k == kind and t == tag]
+    assert verdicts, (kind, tag)
+    return sum(verdicts) / len(verdicts)
+
+
+def test_fastpath_actually_engaged(monkeypatch):
     """Guard against the fast path silently disabling itself: the lossy
-    Residence scenario must really stream, and a fast-forwarding session
-    must log analytic jumps over its OFF periods."""
+    Residence scenario must really stream, and the inline receive paths
+    must carry the paper's bulk and client-throttled strategies.
+
+    Measured shares: the bulk server handles 58% of its pure ACKs inline
+    (the rest are duplicate ACKs and recovery, which stay generic), and
+    the PullPlayer 99.9% of its data segments while buffering greedily.
+    """
     result = _run(SCENARIOS["residence-short-onoff"], fast_forward=True,
                   batching=True)
     assert len(result.capture) > 10_000  # the run really streamed
+
+    calls = _spy_fast_paths(monkeypatch)
+    _run(SCENARIOS["bulk-no-onoff"], fast_forward=True, batching=True)
+    # the server queues the whole file, then closes: its ACKs arrive in
+    # FIN_WAIT_1 with the FIN still unsent
+    assert _inline_share(calls, "ack", 80) > 0.45
+
+    calls.clear()
+    _run(SCENARIOS["throttled-long-onoff"], fast_forward=True,
+         batching=True)
+    assert _inline_share(calls, "data", "buffering") > 0.95
 
 
 def test_fault_scenario_actually_faulted():

@@ -195,3 +195,119 @@ class TestReassemblyProperties:
             delivered += buf.offer(seq, length, None)
         assert delivered == total
         assert buf.unread == total
+
+
+# -- differential test against the dict-scan reassembly -----------------------
+
+
+class _DictScanBuffer(ReceiveBuffer):
+    """Oracle: the reassembly the min-start heap replaced.
+
+    Held segments live in one dict, and every drain scans it in insertion
+    order for a segment covering ``rcv_nxt`` or lying wholly below it.
+    """
+
+    def _store_ooo(self, seq, length, payload):
+        existing = self._ooo.get(seq)
+        if existing is not None and existing[0] >= length:
+            return  # duplicate out-of-order segment
+        if existing is not None:
+            self._ooo_bytes -= existing[0]
+        self._ooo[seq] = (length, payload)
+        self._ooo_bytes += length
+
+    def _drain_ooo(self):
+        delivered = 0
+        while self._ooo:
+            # find a stored segment covering rcv_nxt
+            hit = None
+            for seq, (length, payload) in self._ooo.items():
+                if seq <= self.rcv_nxt < seq + length:
+                    hit = seq
+                    break
+                if seq + length <= self.rcv_nxt:
+                    hit = seq  # fully stale; discard below
+                    break
+            if hit is None:
+                break
+            length, payload = self._ooo.pop(hit)
+            self._ooo_bytes -= length
+            end = hit + length
+            if end <= self.rcv_nxt:
+                continue  # stale
+            if hit < self.rcv_nxt:
+                skip = self.rcv_nxt - hit
+                if payload is not None:
+                    payload = payload[skip:]
+                length = end - self.rcv_nxt
+            delivered += self._append_inorder(length, payload)
+        return delivered
+
+
+def _stream_bytes(start, end):
+    """The stream's content: real bytes in every third 256-byte block,
+    zeros (virtual body) elsewhere."""
+    return bytes(
+        (i * 131) % 251 + 1 if (i // 256) % 3 == 0 else 0
+        for i in range(start, end)
+    )
+
+
+def _payload(seq, length, virtual):
+    """What a sender's ``StreamBuffer.read_range`` hands the segment:
+    ``None`` only when the whole range is virtual."""
+    content = _stream_bytes(seq, seq + length)
+    if virtual and not any(content):
+        return None
+    return content
+
+
+# Offsets are drawn relative to the oracle's rcv_nxt when the step runs, so
+# every sequence mixes stale, overlapping, in-order, held and beyond-window
+# segments.  "Free" segments have arbitrary starts and lengths; "aligned"
+# ones sit on a 100-byte grid, like MSS-sized segments, so they abut
+# exactly and collide on duplicate starts.
+_offer = st.one_of(
+    st.tuples(st.just("free"), st.integers(-300, 900), st.integers(1, 300),
+              st.booleans()),
+    st.tuples(st.just("aligned"), st.integers(-3, 8), st.integers(1, 3),
+              st.booleans()),
+)
+_read = st.tuples(st.sampled_from(["read", "read_discard"]),
+                  st.integers(0, 900))
+
+
+def _segment(step, rcv_nxt):
+    """``(seq, length)`` of an offer step, given the current rcv_nxt."""
+    mode, a, b, _virtual = step
+    if mode == "free":
+        return max(0, rcv_nxt + a), b
+    return 100 * max(0, rcv_nxt // 100 + a), 100 * b
+
+
+class TestDifferentialAgainstDictScan:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(capacity=st.integers(100, 2000),
+           steps=st.lists(st.one_of(_offer, _offer, _offer, _read),
+                          min_size=10, max_size=120))
+    def test_matches_dict_scan_reassembly(self, capacity, steps):
+        buf = ReceiveBuffer(capacity)
+        oracle = _DictScanBuffer(capacity)
+        for step in steps:
+            if step[0] in ("free", "aligned"):
+                seq, length = _segment(step, oracle.rcv_nxt)
+                payload = _payload(seq, length, step[3])
+                assert (buf.offer(seq, length, payload)
+                        == oracle.offer(seq, length, payload)), step
+            else:
+                op, n = step
+                assert (getattr(buf, op)(n)
+                        == getattr(oracle, op)(n)), step
+            assert buf.rcv_nxt == oracle.rcv_nxt
+            assert buf.window == oracle.window
+            assert buf.ooo_bytes == oracle.ooo_bytes
+            assert buf.unread == oracle.unread
+            assert buf.total_delivered == oracle.total_delivered
+            assert buf.has_gap == oracle.has_gap
+        # everything still readable comes out identical too
+        assert buf.read(buf.unread) == oracle.read(oracle.unread)
