@@ -31,10 +31,10 @@ are exactly testable with a synthetic clock and hand-fed beats.
 
 from __future__ import annotations
 
+import bisect
 import sys
 import time
 from dataclasses import dataclass
-from statistics import median
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
@@ -170,7 +170,7 @@ class HealthMonitor:
         self.units_done = 0
         self.parent_rss_kb = 0
         self._lanes: Dict[str, WorkerLane] = {}
-        self._latencies: List[float] = []
+        self._latencies: List[float] = []  # kept sorted: p50 is O(1)
         self._last_summary: Optional[float] = None
 
     @property
@@ -241,7 +241,7 @@ class HealthMonitor:
             alpha = self.policy.ewma_alpha
             lane.rate = (sample if lane.rate == 0.0
                          else alpha * sample + (1 - alpha) * lane.rate)
-            self._latencies.append(latency)
+            bisect.insort(self._latencies, latency)
         lane.idle()
 
     def unit_failed(self, failure: Any) -> None:
@@ -279,8 +279,7 @@ class HealthMonitor:
         policy = self.policy
         self.parent_rss_kb = max(self.parent_rss_kb, _self_rss_kb())
         fresh: List[Suspicion] = []
-        p50 = (median(self._latencies)
-               if len(self._latencies) >= policy.min_completed else None)
+        p50 = self.completed_p50()
         for lane in self._lanes.values():
             if not lane.alive:
                 continue
@@ -338,9 +337,14 @@ class HealthMonitor:
 
     def completed_p50(self) -> Optional[float]:
         """Median completed-unit latency (``None`` below ``min_completed``)."""
-        if len(self._latencies) < self.policy.min_completed:
+        latencies = self._latencies
+        n = len(latencies)
+        if n < max(1, self.policy.min_completed):
             return None
-        return median(self._latencies)
+        mid = n // 2
+        if n % 2:
+            return latencies[mid]
+        return (latencies[mid - 1] + latencies[mid]) / 2
 
     # -- internals -----------------------------------------------------------
 

@@ -38,18 +38,17 @@ Public API:
   :func:`shard_fingerprint` — the million-session campaign layer
   (:mod:`repro.runner.sharding`): deterministic shards through the
   supervised pool, shard-level artifacts, streaming reduction.
-* :class:`DistPolicy`, :class:`ShardQueue`, :class:`FileShardQueue`,
+* :class:`DistPolicy`, :class:`FileShardQueue`,
   :class:`WorkerOptions`, :func:`run_worker` — the
   distributed shard fabric (:mod:`repro.runner.dist`): a lease-based
   work queue over shared storage, ``repro worker`` processes that
-  drain it, and a coordinator that reduces artifacts as they land.
+  drain it, and a coordinator that executes shard batches through it.
 """
 
 from .cache import ResultCache
 from .dist import (
     DistPolicy,
     FileShardQueue,
-    ShardQueue,
     WorkerOptions,
     WorkerStats,
     run_worker,
@@ -119,7 +118,6 @@ __all__ = [
     "RetryBudget",
     "RunStats",
     "SessionPlan",
-    "ShardQueue",
     "ShardResult",
     "ShardSpec",
     "ShardStore",

@@ -6,17 +6,19 @@ The horizontal half of the campaign engine.  Single-host sharding
 :class:`~repro.runner.sharding.ShardStore` — so distribution only has
 to move *scheduling* across processes, never results or trust:
 
-* :mod:`repro.runner.dist.queue` — :class:`ShardQueue`, the lease-based
-  work queue.  :class:`FileShardQueue` runs it over any shared
-  directory with nothing but atomic filesystem primitives.
+* :mod:`repro.runner.dist.queue` — :class:`FileShardQueue`, the
+  lease-based work queue over any shared directory, built from nothing
+  but atomic filesystem primitives.
 * :mod:`repro.runner.dist.worker` — the ``repro worker`` loop: claim a
   shard, run it through the existing supervised engine, push the
   artifact, renew the lease while doing so.
 * :mod:`repro.runner.dist.coordinator` — ``repro experiment
-  --distributed``: publish shards, keep an elastic local fleet alive,
-  and reduce artifacts *as they land* by committing the contiguous
-  plan-order prefix, which keeps distributed aggregates byte-identical
-  to the single-host sharded path.
+  --distributed``: the :class:`Coordinator` executor publishes shards,
+  keeps an elastic local fleet alive, and reports each shard to the
+  engine's batch pipeline as its artifact lands; the pipeline streams
+  the contiguous plan-order prefix to the reducer, which keeps
+  distributed aggregates byte-identical to the single-host sharded
+  path.
 
 Installed via :class:`DistPolicy` on
 :class:`~repro.runner.pool.EngineOptions` (CLI: ``--distributed
@@ -25,27 +27,20 @@ routes here when the policy is present, so sharding-aware experiments
 distribute without code changes.
 """
 
-from .coordinator import DistPolicy, DistWorkerLane, run_shards_distributed
-from .queue import (
-    ClaimedShard,
-    FileShardQueue,
-    Lease,
-    ShardQueue,
-    default_worker_id,
-)
+from .coordinator import Coordinator, DistPolicy, DistWorkerLane
+from .queue import ClaimedShard, FileShardQueue, Lease, default_worker_id
 from .worker import LeaseHeartbeat, WorkerOptions, WorkerStats, run_worker
 
 __all__ = [
     "ClaimedShard",
+    "Coordinator",
     "DistPolicy",
     "DistWorkerLane",
     "FileShardQueue",
     "Lease",
     "LeaseHeartbeat",
-    "ShardQueue",
     "WorkerOptions",
     "WorkerStats",
     "default_worker_id",
-    "run_shards_distributed",
     "run_worker",
 ]

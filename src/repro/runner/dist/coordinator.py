@@ -1,37 +1,36 @@
-"""The distributed coordinator: publish, watch, and streamingly reduce.
+"""The distributed coordinator: the engine's out-of-process executor.
 
-``repro experiment --distributed`` swaps the shard engine's *execution*
-transport while keeping every contract the single-host path already
-honors.  :func:`run_shards_distributed` is a drop-in body for
-:func:`~repro.runner.sharding.run_shards` when the ambient
-:class:`DistPolicy` is installed:
+``repro experiment --distributed`` swaps the shard engine's *executor*
+and nothing else.  :func:`~repro.runner.sharding.run_shards` hands its
+batch to the engine's one pipeline, which looks every shard up in the
+shared :class:`~repro.runner.sharding.ShardStore` (a resumed campaign
+re-simulates nothing) and passes the misses to a :class:`Coordinator`
+instead of the local executors.  The coordinator has
+:func:`~repro.runner.supervise.run_supervised`'s shape and does only
+what is specific to the fabric:
 
-1. **Prefill** — every shard key is looked up in the shared
-   :class:`~repro.runner.sharding.ShardStore` first, so a resumed
-   campaign (or a re-dimensioned one) re-simulates zero landed shards.
-2. **Publish** — the misses are published to the
-   :class:`~repro.runner.dist.queue.ShardQueue` in plan order.
-3. **Elastic local workers** — ``workers=N`` spawns N ``repro worker
+1. **Publish** — the pending shards go to the
+   :class:`~repro.runner.dist.queue.FileShardQueue` in plan order.
+2. **Elastic local workers** — ``workers=N`` spawns N ``repro worker
    --drain`` subprocesses over the same queue and store; a worker that
    dies is respawned (budgeted), and externally-started workers on
    other hosts drain the same queue concurrently.
-4. **Pipelined reduction** — the coordinator polls the store and hands
-   landed artifacts to ``on_result`` as the *contiguous plan-order
-   prefix* grows.  Committing the prefix — not the completion order —
-   is what keeps the reduction byte-identical to the single-host path:
-   ``CampaignSnapshot`` float moments merge via Chan's method, which is
-   order-dependent, so the merge order must be plan order; everything
-   before the barrier (simulation, artifact landing, lease traffic)
-   still overlaps freely.
+3. **Land** — a shard settles once its done marker exists: the
+   artifact the worker stored is read back and reported through
+   ``on_done``, attributed to the worker and its run time from the
+   marker.  A failure marker becomes a final
+   :class:`~repro.runner.supervise.UnitFailure` through ``on_failure``.
+4. **Watch leases** — lease state is synthesized into worker lanes for
+   the ``worker_beat`` observer hook (so ``repro dash`` renders a
+   distributed campaign with no code of its own), and a lease that
+   moves from an expired holder is journaled as ``re-leased``.
 
-The campaign journal gains the distributed lifecycle:
-``dist-published``, per-shard ``done`` events attributed to the worker
-that landed them (with its run time from the done marker),
-``re-leased`` when an expired holder's shard moves, and ``worker-exit``
-when a local worker leaves.  Worker lanes are synthesized from queue
-lease state and fed through the ordinary ``worker_beat`` observer hook,
-so ``repro dash`` renders a distributed campaign with no code of its
-own.
+Everything else — cache prefill, the ``done``/``quarantined`` journal
+outcomes, the failure report, stats, telemetry counters, the abort
+rule, observer and health-monitor calls, and the plan-order prefix that
+streams to ``on_result`` — is the pipeline's, shared with the inline
+and supervised executors.  The journal gains only the fabric's own
+events: ``dist-published``, ``re-leased`` and ``worker-exit``.
 """
 
 from __future__ import annotations
@@ -45,15 +44,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..pool import current_options
-from ..sharding import ShardSpec, ShardStore
-from ..supervise import CampaignAborted, FailedUnit, FailureReport, UnitFailure
-from .queue import FileShardQueue, ShardQueue
+from ..pool import EngineOptions
+from ..sharding import ShardSpec
+from ..supervise import FailedUnit, UnitFailure
+from .queue import FileShardQueue
 
 __all__ = [
+    "Coordinator",
     "DistPolicy",
     "DistWorkerLane",
-    "run_shards_distributed",
 ]
 
 
@@ -192,226 +191,177 @@ def _shard_label(spec: ShardSpec) -> str:
     return f"{spec.campaign} #{spec.index}/{spec.of}"
 
 
-def run_shards_distributed(
-    fn: Callable[..., Any],
-    shards: Sequence[Tuple[ShardSpec, tuple]],
-    keys: Sequence[str],
-    *, stats=None,
-    on_result: Optional[Callable[[Any], None]] = None,
-    queue: Optional[ShardQueue] = None,
-) -> List[Any]:
-    """Run one shard batch over the distributed fabric (see module doc).
+class Coordinator:
+    """The distributed executor for one shard batch (see module doc).
 
-    Same contract as the local :func:`~repro.runner.sharding.run_shards`
-    body: plan-ordered results (``ShardResult`` or ``FailedUnit``),
-    ambient stats/journal/failures honored, ``CampaignAborted`` on a
-    quarantined shard unless the supervision policy degrades — plus
-    ``on_result`` streamed over the growing plan-order prefix.
+    Built by :func:`~repro.runner.sharding.run_shards` from the batch's
+    engine options (``dist`` policy, the shard store as ``cache``,
+    journal, observer) and the plan's shard ``keys``; then called by
+    the pipeline with the pending units.
     """
-    options = current_options()
-    policy = options.dist
-    store = ShardStore.for_cache(options.cache)
-    if store is None:
-        raise RuntimeError(
-            "distributed runs need a shared artifact store: pass "
-            "--cache-dir (or engine_options(cache=...)) so workers and "
-            "the coordinator see the same ShardStore")
-    if queue is None:
-        queue = FileShardQueue(os.path.expanduser(policy.queue),
-                               ttl=policy.ttl)
-    observer = options.observer
-    journal = options.journal
-    failures = options.failures
-    stats = options.stats if stats is None else stats
 
-    total = len(shards)
-    results: List[Any] = [None] * total
-    settled = [False] * total
-    index_of = {key: i for i, key in enumerate(keys)}
+    def __init__(self, options: EngineOptions,
+                 keys: Sequence[str]) -> None:
+        if options.cache is None:
+            raise RuntimeError(
+                "distributed runs need a shared artifact store: pass "
+                "--cache-dir (or engine_options(cache=...)) so workers and "
+                "the coordinator see the same ShardStore")
+        self.policy: DistPolicy = options.dist
+        self.store = options.cache
+        self.journal = options.journal
+        self.observer = options.observer
+        self.plan_index = {key: i for i, key in enumerate(keys)}
+        self.queue = FileShardQueue(os.path.expanduser(self.policy.queue),
+                                    ttl=self.policy.ttl)
 
-    # 1. prefill from the store: a resumed campaign re-simulates nothing
-    hits = 0
-    for i, key in enumerate(keys):
-        artifact = store.get(key)
-        if artifact is not None:
-            results[i] = artifact
-            settled[i] = True
-            hits += 1
-            if journal is not None:
-                journal.done(key, cached=True)  # skipped on resume
-    if observer.enabled:
-        observer.batch_started(total, hits)
+    def __call__(self, worker: Callable[[Any], Any], items: Sequence[Any],
+                 *, keys: Sequence[str], on_done: Callable[..., None],
+                 on_failure: Callable[[UnitFailure], None],
+                 health: Optional[Any] = None, **_unused: Any
+                 ) -> Tuple[List[Any], List[UnitFailure], int]:
+        """Publish ``items``, then settle each as its marker appears.
 
-    # 2. publish the misses, in plan order (claim order follows)
-    published = 0
-    for i, (spec, args) in enumerate(shards):
-        if settled[i]:
-            continue
-        payload = pickle.dumps((fn, spec, tuple(args)),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        if queue.publish(keys[i], payload):
-            published += 1
-    if journal is not None:
-        journal.event("dist-published", shards=total - hits,
-                      new=published, cache_hits=hits,
-                      queue=str(policy.queue), workers=policy.workers,
-                      ttl=policy.ttl)
-
-    quarantined: List[UnitFailure] = []
-    done_by: Dict[str, int] = {}     # worker -> shards landed
-    released: set = set()            # keys already journaled as re-leased
-    cursor = 0          # next plan index to hand to on_result
-
-    def commit_prefix() -> None:
-        # the pipelined reduction: merge order is plan order, so only
-        # the contiguous settled prefix may flow to the caller
-        nonlocal cursor
-        while cursor < total and settled[cursor]:
-            if on_result is not None:
-                on_result(results[cursor])
-            cursor += 1
-
-    def land(i: int) -> bool:
-        # a worker stores the artifact before it writes the done marker;
-        # landing waits for the marker, so the journal's done event
-        # always carries the marker's attribution
-        if not queue.is_done(keys[i]):
-            return False
-        artifact = store.get(keys[i])
-        if artifact is None:
-            return False
-        results[i] = artifact
-        settled[i] = True
-        record = getattr(queue, "done_record", lambda key: {})(keys[i])
-        worker = record.get("worker")
-        done_by[worker or "?"] = done_by.get(worker or "?", 0) + 1
+        ``items`` are the pipeline's task units, each wrapping one
+        shard payload ``(fn, spec, args)``; the queue carries only the
+        payload, which is what a worker executes.  ``worker`` and the
+        local pool's ``jobs``/``policy``/``describe`` are not used:
+        remote workers bring their own supervision.
+        """
+        policy, queue, journal = self.policy, self.queue, self.journal
+        observer = self.observer
+        payloads = [item[1][0] for item in items]
+        labels = [_shard_label(spec) for _fn, spec, _args in payloads]
+        published = 0
+        for key, payload in zip(keys, payloads):
+            data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            published += queue.publish(key, data)
         if journal is not None:
+            journal.event("dist-published", shards=len(items),
+                          new=published,
+                          cache_hits=len(self.plan_index) - len(items),
+                          queue=str(policy.queue), workers=policy.workers,
+                          ttl=policy.ttl)
+        results: List[Any] = [None] * len(items)
+        quarantined: List[UnitFailure] = []
+        if not items:
+            return results, quarantined, 0
+
+        local_index = {key: j for j, key in enumerate(keys)}
+        done_by: Dict[str, int] = {}     # worker -> shards landed
+        released: set = set()            # keys already journaled as re-leased
+
+        def re_leased(key: str, worker: Optional[str],
+                      previous: str) -> None:
+            if journal is None or key in released:
+                return
+            released.add(key)
+            j = local_index.get(key)
+            journal.event("re-leased", worker=worker, previous=previous,
+                          unit=self.plan_index.get(key),
+                          shard=labels[j] if j is not None else None)
+
+        def land(j: int) -> bool:
+            # a worker stores the artifact before it writes the done
+            # marker; landing waits for the marker, so the journal's
+            # done event always carries the marker's attribution
+            if not queue.is_done(keys[j]):
+                return False
+            artifact = self.store.get(keys[j])
+            if artifact is None:
+                return False
+            record = queue.done_record(keys[j])
+            worker_id = record.get("worker")
+            done_by[worker_id or "?"] = done_by.get(worker_id or "?", 0) + 1
             # the done marker is the authoritative re-lease record:
             # watch_leases only sees transitions that straddle an idle
             # poll, but a stolen lease always names its dead holder here
-            stolen_from = record.get("previous")
-            if stolen_from and keys[i] not in released:
-                released.add(keys[i])
-                journal.event("re-leased", worker=worker,
-                              previous=stolen_from, unit=i,
-                              shard=_shard_label(shards[i][0]))
-            journal.done(keys[i], unit=i, worker=worker,
-                         latency_s=record.get("wall_s"),
-                         shard=_shard_label(shards[i][0]))
-        if observer.enabled:
-            observer.unit_finished(artifact)
-        return True
+            if record.get("previous"):
+                re_leased(keys[j], worker_id, record["previous"])
+            results[j] = artifact
+            on_done(j, artifact, worker_id, record.get("wall_s"),
+                    shard=labels[j])
+            return True
 
-    def quarantine(i: int, record: dict) -> None:
-        failure = UnitFailure(
-            index=i, label=_shard_label(shards[i][0]), key=keys[i],
-            kind="shard-failed",
-            error=record.get("error", "worker reported failure"),
-            attempts=int(record.get("attempts", 1)), final=True,
-            worker=record.get("worker"))
-        results[i] = FailedUnit(failure)
-        settled[i] = True
-        quarantined.append(failure)
-        if journal is not None:
-            journal.quarantined(failure.key, failure.error,
-                                failure.attempts, unit=i,
-                                worker=failure.worker, kind=failure.kind,
-                                shard=failure.label)
-        if failures is not None:
-            failures.add(failure)
-        if observer.enabled:
-            observer.unit_failed(failure)
+        def fail(j: int, record: dict) -> None:
+            failure = UnitFailure(
+                index=j, label=labels[j], key=keys[j], kind="shard-failed",
+                error=record.get("error", "worker reported failure"),
+                attempts=int(record.get("attempts", 1)), final=True,
+                worker=record.get("worker"))
+            results[j] = FailedUnit(failure)
+            quarantined.append(failure)
+            on_failure(failure)
 
-    lanes: Dict[str, DistWorkerLane] = {}
-    holder: Dict[str, str] = {}      # key -> worker last seen leasing it
-    started = time.monotonic()
+        lanes: Dict[str, DistWorkerLane] = {}
+        holder: Dict[str, str] = {}      # key -> worker last seen leasing it
+        started = time.monotonic()
 
-    def watch_leases() -> None:
-        now = time.monotonic()
-        for lease in queue.leases():
-            previous = holder.get(lease.key)
-            if previous is not None and previous != lease.worker:
-                # an expired holder's shard moved: the re-lease is the
-                # fabric's whole fault-tolerance story, so it is journaled
-                # (land() re-checks the done marker for steals this poll
-                # loop never witnessed; ``released`` dedups the two paths)
-                if journal is not None and lease.key not in released:
-                    released.add(lease.key)
-                    i = index_of.get(lease.key)
-                    journal.event(
-                        "re-leased", worker=lease.worker, previous=previous,
-                        unit=i,
-                        shard=_shard_label(shards[i][0]) if i is not None
-                        else None)
-            holder[lease.key] = lease.worker
-            lane = lanes.get(lease.worker)
-            if lane is None:
-                lane = lanes[lease.worker] = DistWorkerLane(
-                    worker=lease.worker)
-            lane.pid = lease.pid
-            lane.last_beat = now - min(lease.age_s, policy.ttl)
-            lane.missing = lease.age_s > policy.ttl
-            i = index_of.get(lease.key)
-            lane.unit = i
-            lane.label = (_shard_label(shards[i][0])
-                          if i is not None else lease.key[:12])
-            lane.unit_started_at = now - lease.age_s
-        elapsed = max(now - started, 1e-9)
-        for worker, lane in lanes.items():
-            lane.units_done = done_by.get(worker, 0)
-            lane.rate = lane.units_done / elapsed
-            if observer.enabled:
-                observer.worker_beat(lane)
+        def watch_leases() -> None:
+            now = time.monotonic()
+            for lease in queue.leases():
+                previous = holder.get(lease.key)
+                if previous is not None and previous != lease.worker:
+                    # an expired holder's shard moved: the re-lease is
+                    # the fabric's whole fault-tolerance story
+                    re_leased(lease.key, lease.worker, previous)
+                holder[lease.key] = lease.worker
+                lane = lanes.get(lease.worker)
+                if lane is None:
+                    lane = lanes[lease.worker] = DistWorkerLane(
+                        worker=lease.worker)
+                lane.pid = lease.pid
+                lane.last_beat = now - min(lease.age_s, policy.ttl)
+                lane.missing = lease.age_s > policy.ttl
+                j = local_index.get(lease.key)
+                lane.unit = self.plan_index.get(lease.key)
+                lane.label = labels[j] if j is not None else lease.key[:12]
+                lane.unit_started_at = now - lease.age_s
+            elapsed = max(now - started, 1e-9)
+            for worker_id, lane in lanes.items():
+                lane.units_done = done_by.get(worker_id, 0)
+                lane.rate = lane.units_done / elapsed
+                if observer.enabled:
+                    observer.worker_beat(lane)
 
-    # the root workers receive must be the *cache* root, not the shard
-    # namespace under it — ShardStore(cache_root) re-derives the latter
-    cache_root = (store.root.parent if isinstance(options.cache, ShardStore)
-                  else options.cache.root)
-    fleet = _LocalFleet(policy, cache_root, journal=journal)
-    waiting_notice = None if (policy.workers or hits == total) \
-        else time.monotonic() + max(5.0, policy.ttl)
-    try:
-        fleet.start()
-        commit_prefix()
-        while not all(settled):
-            progressed = False
-            for i in range(total):
-                if settled[i]:
+        # the root workers receive is the *cache* root, not the shard
+        # namespace under it — ShardStore(cache_root) re-derives the latter
+        cache_root = self.store.root.parent
+        fleet = _LocalFleet(policy, cache_root, journal=journal)
+        waiting_notice = (None if policy.workers
+                          else time.monotonic() + max(5.0, policy.ttl))
+        unsettled = list(range(len(items)))
+        try:
+            fleet.start()
+            while unsettled:
+                failed = queue.failures()
+                remaining = []
+                for j in unsettled:
+                    if land(j):
+                        continue
+                    record = failed.get(keys[j])
+                    if record is not None:
+                        fail(j, record)
+                    else:
+                        remaining.append(j)
+                progressed = len(remaining) < len(unsettled)
+                unsettled = remaining
+                if progressed:
                     continue
-                if land(i):
-                    progressed = True
-                    continue
-                record = queue.failures().get(keys[i])
-                if record is not None:
-                    quarantine(i, record)
-                    progressed = True
-            commit_prefix()
-            if progressed:
-                continue
-            fleet.tend(work_remains=not all(settled))
-            watch_leases()
-            if waiting_notice is not None \
-                    and time.monotonic() > waiting_notice:
-                waiting_notice = None
-                print(f"coordinator: waiting for workers on "
-                      f"{policy.queue} — start some with: repro worker "
-                      f"--queue-dir {policy.queue} --cache-dir "
-                      f"{cache_root}", file=sys.stderr)
-            time.sleep(policy.poll)
-    finally:
-        fleet.stop()
-
-    if stats is not None:
-        stats.add(total, hits)
-        stats.failed += len(quarantined)
-    degrade = options.supervision is not None and options.supervision.degrade
-    if quarantined and not degrade:
-        report = failures
-        if report is None:
-            report = FailureReport()
-            for failure in quarantined:
-                report.add(failure)
-        raise CampaignAborted(report)
-    if observer.enabled:
-        observer.batch_finished(results)
-    return results
+                fleet.tend(work_remains=True)
+                watch_leases()
+                if health is not None:
+                    health.poll()
+                if waiting_notice is not None \
+                        and time.monotonic() > waiting_notice:
+                    waiting_notice = None
+                    print(f"coordinator: waiting for workers on "
+                          f"{policy.queue} — start some with: repro worker "
+                          f"--queue-dir {policy.queue} --cache-dir "
+                          f"{cache_root}", file=sys.stderr)
+                time.sleep(policy.poll)
+        finally:
+            fleet.stop()
+            if health is not None:
+                health.finish()
+        return results, quarantined, 0

@@ -10,7 +10,7 @@ worker pushes its :class:`~repro.runner.sharding.ShardResult` into the
 shared :class:`~repro.runner.sharding.ShardStore` and the queue only
 says *whose turn it is* and *what already happened*.
 
-:class:`FileShardQueue` is the reference backend: a directory (local
+:class:`FileShardQueue` is the queue: a directory (local
 tmpfs for same-host fleets, NFS or another shared filesystem for
 multi-host ones) holding four kinds of entries::
 
@@ -65,7 +65,6 @@ __all__ = [
     "ClaimedShard",
     "FileShardQueue",
     "Lease",
-    "ShardQueue",
     "default_worker_id",
 ]
 
@@ -89,7 +88,7 @@ class Lease:
 
 @dataclass(frozen=True)
 class ClaimedShard:
-    """What :meth:`ShardQueue.claim` hands a worker.
+    """What :meth:`FileShardQueue.claim` hands a worker.
 
     ``previous`` names the worker whose expired lease was stolen to
     make this claim, or ``None`` for a first lease — the re-lease
@@ -101,72 +100,17 @@ class ClaimedShard:
     previous: Optional[str] = None
 
 
-class ShardQueue:
-    """The queue interface every backend implements.
+class FileShardQueue:
+    """The lease-based shard queue over a shared directory (see the
+    module docstring for the protocol).  ``ttl`` is the lease lifetime
+    in seconds; a holder that stops renewing for longer than that is
+    presumed dead and its shard is re-leased.
 
     Payloads are opaque bytes (the shard engine pickles
     ``(fn, spec, args)``); keys are the shard fingerprints the artifact
     store is addressed by, so queue state and store state line up
     one-to-one.
     """
-
-    def publish(self, key: str, payload: bytes) -> bool:
-        """Make one shard claimable; ``False`` if already published."""
-        raise NotImplementedError
-
-    def claim(self, worker: str) -> Optional[ClaimedShard]:
-        """Lease one unclaimed, unfinished shard; ``None`` if none."""
-        raise NotImplementedError
-
-    def renew(self, key: str, worker: str) -> bool:
-        """Heartbeat one held lease; ``False`` when it was lost."""
-        raise NotImplementedError
-
-    def complete(self, key: str, worker: str, wall_s: float = 0.0,
-                 previous: Optional[str] = None) -> bool:
-        """Mark one shard done; ``False`` on a duplicate completion.
-
-        ``previous`` (the dead holder a stolen lease was taken from, as
-        reported by :attr:`ClaimedShard.previous`) is recorded in the
-        done marker so the coordinator can attribute the re-lease even
-        if it never observed the intermediate lease states.
-        """
-        raise NotImplementedError
-
-    def fail(self, key: str, worker: str, error: str,
-             attempts: int = 1) -> None:
-        """Mark one shard quarantined (supervision exhausted retries)."""
-        raise NotImplementedError
-
-    def abandon(self, key: str, worker: str) -> None:
-        """Release a held lease without completing (clean shutdown)."""
-        raise NotImplementedError
-
-    def is_done(self, key: str) -> bool:
-        raise NotImplementedError
-
-    def pending(self) -> List[str]:
-        """Published keys not yet done and not failed."""
-        raise NotImplementedError
-
-    def settled(self) -> bool:
-        """True when every published shard is done or failed."""
-        return not self.pending()
-
-    def leases(self) -> List[Lease]:
-        """Every live (unexpired *or* expired-but-unstolen) lease."""
-        raise NotImplementedError
-
-    def failures(self) -> Dict[str, dict]:
-        """Quarantine records by key."""
-        raise NotImplementedError
-
-
-class FileShardQueue(ShardQueue):
-    """The shared-directory backend (see the module docstring for the
-    protocol).  ``ttl`` is the lease lifetime in seconds; a holder that
-    stops renewing for longer than that is presumed dead and its shard
-    is re-leased."""
 
     def __init__(self, root, *, ttl: float = 30.0,
                  clock=time.time) -> None:
@@ -233,6 +177,7 @@ class FileShardQueue(ShardQueue):
     # -- publishing ----------------------------------------------------------
 
     def publish(self, key: str, payload: bytes) -> bool:
+        """Make one shard claimable; ``False`` if already published."""
         path = self._task_path(key)
         if path.exists():
             return False
@@ -277,6 +222,7 @@ class FileShardQueue(ShardQueue):
         return self._read_json(tomb).get("worker") or "?"
 
     def claim(self, worker: str) -> Optional[ClaimedShard]:
+        """Lease one unclaimed, unfinished shard; ``None`` if none."""
         now = self.clock()
         tasks = []
         for path in self._tasks.glob("*.task"):
@@ -317,6 +263,7 @@ class FileShardQueue(ShardQueue):
     # -- lease lifecycle -----------------------------------------------------
 
     def renew(self, key: str, worker: str) -> bool:
+        """Heartbeat one held lease; ``False`` when it was lost."""
         path = self._lease_path(key)
         record = self._read_json(path)
         if record.get("worker") != worker:
@@ -333,6 +280,13 @@ class FileShardQueue(ShardQueue):
 
     def complete(self, key: str, worker: str, wall_s: float = 0.0,
                  previous: Optional[str] = None) -> bool:
+        """Mark one shard done; ``False`` on a duplicate completion.
+
+        ``previous`` (the dead holder a stolen lease was taken from, as
+        reported by :attr:`ClaimedShard.previous`) is recorded in the
+        done marker so the coordinator can attribute the re-lease even
+        if it never observed the intermediate lease states.
+        """
         record = {"worker": worker, "wall_s": round(wall_s, 6),
                   "finished_at": round(self.clock(), 3)}
         if previous:
@@ -343,12 +297,14 @@ class FileShardQueue(ShardQueue):
 
     def fail(self, key: str, worker: str, error: str,
              attempts: int = 1) -> None:
+        """Mark one shard quarantined (supervision exhausted retries)."""
         self._marker(self._failed_path(key), {
             "worker": worker, "error": error, "attempts": attempts,
             "failed_at": round(self.clock(), 3)})
         self.abandon(key, worker)
 
     def abandon(self, key: str, worker: str) -> None:
+        """Release a held lease without completing (clean shutdown)."""
         path = self._lease_path(key)
         if self._read_json(path).get("worker") == worker:
             try:
@@ -369,6 +325,7 @@ class FileShardQueue(ShardQueue):
         return self._read_json(self._failed_path(key))
 
     def pending(self) -> List[str]:
+        """Published keys not yet done and not failed."""
         keys = []
         for path in self._tasks.glob("*.task"):
             key = path.name[:-len(".task")]
@@ -377,7 +334,12 @@ class FileShardQueue(ShardQueue):
                 keys.append(key)
         return sorted(keys)
 
+    def settled(self) -> bool:
+        """True when every published shard is done or failed."""
+        return not self.pending()
+
     def leases(self) -> List[Lease]:
+        """Every live (unexpired *or* expired-but-unstolen) lease."""
         now = self.clock()
         out = []
         for path in self._leases.glob("*.lease"):
@@ -396,6 +358,7 @@ class FileShardQueue(ShardQueue):
         return sorted(out, key=lambda lease: lease.key)
 
     def failures(self) -> Dict[str, dict]:
+        """Quarantine records by key."""
         out = {}
         for path in self._failed.glob("*.failed"):
             out[path.name[:-len(".failed")]] = self._read_json(path)

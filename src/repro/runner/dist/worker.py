@@ -1,7 +1,7 @@
 """``repro worker``: a long-lived process that drains a shard queue.
 
 A worker is the executing half of the distributed fabric: it claims one
-shard at a time from a :class:`~repro.runner.dist.queue.ShardQueue`,
+shard at a time from a :class:`~repro.runner.dist.queue.FileShardQueue`,
 runs it through the *existing* engine (``run_tasks`` with the shard's
 published key — so the supervised pool, retries, chaos hooks and the
 content-addressed :class:`~repro.runner.sharding.ShardStore` all apply
@@ -38,7 +38,7 @@ from typing import Optional
 from ..pool import RunStats, engine_options, run_tasks
 from ..sharding import ShardStore, _shard_call
 from ..supervise import FailedUnit, RetryBudget, SupervisionPolicy
-from .queue import FileShardQueue, ShardQueue, default_worker_id
+from .queue import FileShardQueue, default_worker_id
 
 __all__ = [
     "LeaseHeartbeat",
@@ -57,7 +57,7 @@ class LeaseHeartbeat:
     abandoning work that is already mostly done.
     """
 
-    def __init__(self, queue: ShardQueue, key: str, worker: str,
+    def __init__(self, queue: FileShardQueue, key: str, worker: str,
                  interval: float) -> None:
         self.queue = queue
         self.key = key
@@ -138,7 +138,7 @@ def _policy(options: WorkerOptions) -> Optional[SupervisionPolicy]:
 
 
 def run_worker(options: WorkerOptions,
-               queue: Optional[ShardQueue] = None) -> WorkerStats:
+               queue: Optional[FileShardQueue] = None) -> WorkerStats:
     """The worker loop: claim, execute, complete, repeat.
 
     Returns when ``drain`` is set and the queue has settled, when

@@ -42,13 +42,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..telemetry import NULL, NullRecorder, Recorder, SessionTelemetry, current_recorder, use_recorder
+from ..telemetry import NullRecorder, Recorder, SessionTelemetry, current_recorder, use_recorder
 from .cache import ResultCache
 from .fingerprint import plan_fingerprint, task_fingerprint
 from .journal import CampaignJournal
 from .supervise import (
     CHAOS_ENV,
     CampaignAborted,
+    FailedUnit,
     FailureReport,
     RetryBudget,
     SupervisionPolicy,
@@ -369,58 +370,64 @@ def _call_task(payload: Tuple[Callable[..., Any], tuple, bool]):
 #: deadline, and a failing unit aborts the batch once it settles.
 _UNSUPERVISED = SupervisionPolicy(retry=RetryBudget(max_attempts=1))
 
+#: An executor runs a batch's cache misses and reports each unit as it
+#: settles.  Every executor has :func:`~repro.runner.supervise.run_supervised`'s
+#: shape: ``execute(worker, items, *, jobs, policy, describe, keys,
+#: on_done, on_failure, health) -> (results, quarantined, retries)``,
+#: calling ``on_done(index, value, worker, run_s)`` and
+#: ``on_failure(failure)`` with batch-local indices.
+Executor = Callable[..., Tuple[List[Any], List[UnitFailure], int]]
 
-def _run_inline(worker: Callable[[Any], Any], items: Sequence[Any],
-                observer: NullRunObserver = NULL_OBSERVER,
-                on_unit: Optional[Callable[..., None]] = None
-                ) -> List[Any]:
-    """Run ``worker`` over ``items`` in this process, in input order.
+
+def _run_inline(worker: Callable[[Any], Any], items: Sequence[Any], *,
+                on_done: Callable[..., None], **_unused: Any
+                ) -> Tuple[List[Any], List[UnitFailure], int]:
+    """The in-process executor: ``worker`` over ``items``, in input order.
 
     The reference path for ``jobs=1`` and single-unit batches: no worker
     process, no pickle round-trip, and the first exception propagates.
-    ``on_unit(index, result, latency_s=...)`` is the durability hook: it
-    fires as each unit completes, letting the caller persist results
-    incrementally so a killed campaign keeps what it already computed.
+    It needs none of the supervised executor's other arguments.
     """
-    if not observer.enabled and on_unit is None:
-        return [worker(item) for item in items]
     results = []
     for index, item in enumerate(items):
         started = time.perf_counter()
         result = worker(item)
-        if on_unit is not None:
-            on_unit(index, result,
-                    latency_s=round(time.perf_counter() - started, 6))
-        if observer.enabled:
-            observer.unit_finished(result)
+        on_done(index, result, None, time.perf_counter() - started)
         results.append(result)
-    return results
+    return results, [], 0
 
 
 def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
-                keys: Optional[List[str]], jobs: int,
-                cache: Optional[ResultCache],
-                stats: Optional[RunStats],
-                rec: NullRecorder = NULL,
-                observer: NullRunObserver = NULL_OBSERVER,
-                supervision: Optional[SupervisionPolicy] = None,
-                journal: Optional[CampaignJournal] = None,
-                failures: Optional[FailureReport] = None,
+                keys: Optional[List[str]], options: EngineOptions,
+                rec: NullRecorder,
                 describe: Optional[Callable[[int], str]] = None,
-                health: Optional[Any] = None) -> List[Any]:
+                on_result: Optional[Callable[[Any], None]] = None,
+                execute: Optional[Executor] = None) -> List[Any]:
     """Cache-lookup, execute, persist: the engine's one batch pipeline.
 
-    Every unit that completes is persisted (cache + journal) *as it
-    completes*, not after the batch — a campaign killed mid-batch keeps
-    everything already simulated.  Cache misses run inline when there is
-    no ``supervision`` policy and ``jobs=1`` or a single miss; otherwise
-    they run under :func:`~repro.runner.supervise.run_supervised`, with
-    :data:`_UNSUPERVISED` standing in for a missing policy.  A
-    ``health`` monitor receives worker heartbeats and unit lifecycle
-    notifications there (report-only).
+    Cache hits settle first.  The misses go to one executor: the given
+    ``execute`` (the distributed coordinator), else inline when there is
+    no supervision policy and ``jobs=1`` or a single miss, else
+    :func:`~repro.runner.supervise.run_supervised` (with
+    :data:`_UNSUPERVISED` standing in for a missing policy).  Whatever
+    the executor, this function alone does the bookkeeping: each unit
+    is persisted (cache + journal) and reported (observer, failure
+    report) *as it settles*, so a campaign killed mid-batch keeps
+    everything already simulated; stats, telemetry counters and the
+    abort rule apply once the batch has settled.  An ``execute``
+    executor's workers put each result in the shared cache before
+    reporting it, so it is not written again here.
+
+    ``on_result`` receives every result **in plan order** as the
+    settled plan-order prefix grows — not in completion order, which is
+    what keeps an order-dependent reduction identical on every executor.
     """
-    results: List[Any] = [None] * len(items)
-    pending = list(range(len(items)))
+    cache, journal, observer = options.cache, options.journal, options.observer
+    failures, health = options.failures, options.health
+    total = len(items)
+    results: List[Any] = [None] * total
+    settled = [False] * total
+    pending = list(range(total))
     if cache is not None and keys is not None:
         pending = []
         for i, key in enumerate(keys):
@@ -429,58 +436,51 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
                 pending.append(i)
             else:
                 results[i] = hit
+                settled[i] = True
                 if journal is not None:
                     journal.done(key, cached=True)  # skipped on resume
+    hits = total - len(pending)
     if observer.enabled:
-        observer.batch_started(len(items), len(items) - len(pending))
+        observer.batch_started(total, hits)
     if health is not None:
         health.attach(observer)
-        health.batch_started(len(items), len(items) - len(pending))
+        health.batch_started(total, hits)
     if rec.enabled:
-        rec.inc("engine.units", len(items))
-        rec.inc("engine.cache_hits", len(items) - len(pending))
+        rec.inc("engine.units", total)
+        rec.inc("engine.cache_hits", hits)
         rec.inc("engine.cache_misses", len(pending))
 
-    def persist(local_index: int, result: Any, worker: Optional[str] = None,
-                latency_s: Optional[float] = None) -> None:
+    cursor = 0  # next plan index to hand to on_result
+
+    def commit() -> None:
+        nonlocal cursor
+        while cursor < total and settled[cursor]:
+            on_result(results[cursor])
+            cursor += 1
+
+    def settle(i: int, value: Any) -> None:
+        results[i] = value
+        settled[i] = True
+        if on_result is not None:
+            commit()
+
+    write_back = execute is None
+
+    def on_done(local_index: int, value: Any, worker_id: Optional[str],
+                run_s: Optional[float], **fields: Any) -> None:
+        # ``fields``: executor-specific journal attribution (a shard label)
         i = pending[local_index]
-        results[i] = result
         if keys is not None:
-            if cache is not None:
-                cache.put(keys[i], result)
+            if cache is not None and write_back:
+                cache.put(keys[i], value)
             if journal is not None:
-                journal.done(keys[i], unit=local_index, worker=worker,
-                             latency_s=latency_s)
-
-    pending_items = [items[i] for i in pending]
-    if supervision is None and (jobs <= 1 or len(pending) <= 1):
-        # incremental persistence only matters when there is somewhere
-        # durable to persist to; otherwise keep the plain fast path
-        on_unit = (persist if keys is not None
-                   and (cache is not None or journal is not None) else None)
-        if rec.enabled:
-            with rec.span("engine.execute"):
-                computed = _run_inline(worker, pending_items, observer,
-                                       on_unit)
-        else:
-            computed = _run_inline(worker, pending_items, observer, on_unit)
-        for i, result in zip(pending, computed):
-            results[i] = result
-        if stats is not None:
-            stats.add(len(items), len(items) - len(pending))
-        return results
-
-    # -- supervised path ------------------------------------------------------
-    policy = supervision or _UNSUPERVISED
-    describe_local = ((lambda li: describe(pending[li]))
-                      if describe is not None else None)
-    keys_local = [keys[i] for i in pending] if keys is not None else None
-
-    def on_done(local_index: int, value: Any, worker: str,
-                latency_s: float) -> None:
-        persist(local_index, value, worker, round(latency_s, 6))
+                journal.done(keys[i], unit=local_index, worker=worker_id,
+                             latency_s=(None if run_s is None
+                                        else round(run_s, 6)),
+                             **fields)
         if observer.enabled:
             observer.unit_finished(value)
+        settle(i, value)
 
     def on_failure(failure: UnitFailure) -> None:
         if journal is not None and failure.key is not None:
@@ -490,30 +490,35 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
             record(failure.key, failure.error, failure.attempts,
                    unit=failure.index, label=failure.label,
                    worker=failure.worker, kind=failure.kind)
-        # remap the supervisor's batch-local index to the plan index
+        # remap the executor's batch-local index to the plan index
         failure.index = pending[failure.index]
         if failure.final and failures is not None:
             failures.add(failure)
         if observer.enabled:
             observer.unit_failed(failure)
+        if failure.final:
+            settle(failure.index, FailedUnit(failure))
 
-    def run() -> Tuple[List[Any], List[UnitFailure], int]:
-        return run_supervised(
-            worker, pending_items, jobs=jobs, policy=policy,
-            describe=describe_local, keys=keys_local,
+    supervision = options.supervision
+    if execute is None:
+        execute = (_run_inline if supervision is None
+                   and (options.jobs <= 1 or len(pending) <= 1)
+                   else run_supervised)
+    policy = supervision or _UNSUPERVISED
+    if on_result is not None:
+        commit()  # the cached prefix flows before anything executes
+    with rec.span("engine.execute"):
+        _, quarantined, retries = execute(
+            worker, [items[i] for i in pending], jobs=options.jobs,
+            policy=policy,
+            describe=((lambda li: describe(pending[li]))
+                      if describe is not None else None),
+            keys=[keys[i] for i in pending] if keys is not None else None,
             on_done=on_done, on_failure=on_failure, health=health)
-
-    if rec.enabled:
-        with rec.span("engine.execute"):
-            computed, quarantined, retries = run()
-    else:
-        computed, quarantined, retries = run()
-    for i, result in zip(pending, computed):
-        results[i] = result  # FailedUnit placeholders land here too
-    if stats is not None:
-        stats.add(len(items), len(items) - len(pending))
-        stats.retries += retries
-        stats.failed += len(quarantined)
+    if options.stats is not None:
+        options.stats.add(total, hits)
+        options.stats.retries += retries
+        options.stats.failed += len(quarantined)
     if failures is not None:
         failures.retries += retries
     if rec.enabled and supervision is not None:
@@ -535,6 +540,13 @@ def _run_cached(worker: Callable[[Any], Any], items: Sequence[Any],
     return results
 
 
+def _batch_options(jobs: Optional[int], cache: CacheLike,
+                   stats: Optional[RunStats]) -> EngineOptions:
+    """The ambient options with one batch's explicit overrides."""
+    return merge_options(_OPTIONS.get(),
+                         {"jobs": jobs, "cache": cache, "stats": stats})
+
+
 PlanLike = Union[SessionPlan, Tuple[Any, Any]]
 
 
@@ -547,20 +559,16 @@ def run_sessions(plans: Iterable[PlanLike], *, jobs: Optional[int] = None,
     tuples.  ``jobs``/``cache``/``stats`` default to the ambient
     :func:`engine_options`; experiments normally pass none of them.
     """
-    options = _OPTIONS.get()
-    jobs = options.jobs if jobs is None else max(1, int(jobs))
-    cache = options.cache if cache is None else _as_cache(cache)
-    stats = options.stats if stats is None else stats
+    options = _batch_options(jobs, cache, stats)
     normalized = [p if isinstance(p, SessionPlan) else SessionPlan(*p)
                   for p in plans]
     keys = None
-    if cache is not None or options.journal is not None:
+    if options.cache is not None or options.journal is not None:
         # The cache key is (video, config, code version) only — whether
         # telemetry is recording never changes what a session computes,
         # so it must not change where its result lives.
         keys = [plan.key for plan in normalized]
     rec = current_recorder()
-    observer = options.observer
     payloads = [(plan, rec.enabled) for plan in normalized]
 
     def describe(i: int) -> str:
@@ -569,34 +577,21 @@ def run_sessions(plans: Iterable[PlanLike], *, jobs: Optional[int] = None,
         seed = getattr(plan.config, "seed", "?")
         return f"{video} seed={seed}"
 
-    if not rec.enabled:
-        results = _run_cached(_call_plan, payloads, keys, jobs, cache,
-                              stats, observer=observer,
-                              supervision=options.supervision,
-                              journal=options.journal,
-                              failures=options.failures, describe=describe,
-                              health=options.health)
-        if observer.enabled:
-            observer.batch_finished(results)
-        return results
     with rec.span("engine.run_sessions"):
-        rec.gauge("engine.jobs", jobs)
-        results = _run_cached(_call_plan, payloads, keys, jobs, cache,
-                              stats, rec, observer,
-                              supervision=options.supervision,
-                              journal=options.journal,
-                              failures=options.failures, describe=describe,
-                              health=options.health)
-        # Merge per-session telemetry in *plan order* — the results list
-        # is already plan-ordered, so merged counters and event logs are
-        # identical for any worker count.  Cache hits replay whatever
-        # telemetry they were computed with (possibly none).
-        for result in results:
-            telemetry = getattr(result, "telemetry", None)
-            if telemetry is not None:
-                rec.merge(telemetry)
-    if observer.enabled:
-        observer.batch_finished(results)
+        rec.gauge("engine.jobs", options.jobs)
+        results = _run_cached(_call_plan, payloads, keys, options, rec,
+                              describe)
+        if rec.enabled:
+            # Merge per-session telemetry in *plan order* — the results
+            # list is already plan-ordered, so merged counters and event
+            # logs are identical for any worker count.  Cache hits replay
+            # whatever telemetry they were computed with (possibly none).
+            for result in results:
+                telemetry = getattr(result, "telemetry", None)
+                if telemetry is not None:
+                    rec.merge(telemetry)
+    if options.observer.enabled:
+        options.observer.batch_finished(results)
     return results
 
 
@@ -614,19 +609,23 @@ def run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple], *,
     the caller then guarantees the key covers everything the task result
     depends on.
     """
-    options = _OPTIONS.get()
-    jobs = options.jobs if jobs is None else max(1, int(jobs))
-    cache = options.cache if cache is None else _as_cache(cache)
-    stats = options.stats if stats is None else stats
+    return _run_tasks(fn, argslist, _batch_options(jobs, cache, stats), keys)
+
+
+def _run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple],
+               options: EngineOptions, keys: Optional[List[str]],
+               on_result: Optional[Callable[[Any], None]] = None,
+               execute: Optional[Executor] = None) -> List[Any]:
+    """:func:`run_tasks` with the pipeline's streaming hook and executor
+    seam exposed (the shard engine's entry point; see :func:`_run_cached`)."""
     rec = current_recorder()
-    observer = options.observer
     items = [(fn, tuple(args), rec.enabled) for args in argslist]
     if keys is not None:
         keys = list(keys)
         if len(keys) != len(items):
             raise ValueError(
                 f"run_tasks got {len(items)} tasks but {len(keys)} keys")
-    elif cache is not None or options.journal is not None:
+    elif options.cache is not None or options.journal is not None:
         # Keyed on (function, args, code version); the record flag is
         # deliberately excluded, like everything telemetry-related.
         keys = [task_fingerprint(fn, args) for _fn, args, _record in items]
@@ -638,34 +637,24 @@ def run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple], *,
             rendered = rendered[:57] + "..."
         return f"{fn.__name__}{rendered}"
 
-    if not rec.enabled:
-        results = _run_cached(_call_task, items, keys, jobs, cache, stats,
-                              observer=observer,
-                              supervision=options.supervision,
-                              journal=options.journal,
-                              failures=options.failures, describe=describe,
-                              health=options.health)
-        unwrapped = [r.value if isinstance(r, _TaskEnvelope) else r
-                     for r in results]
-        if observer.enabled:
-            observer.batch_finished(unwrapped)
-        return unwrapped
+    def unwrap(result: Any) -> Any:
+        return result.value if isinstance(result, _TaskEnvelope) else result
+
+    emit = None
+    if on_result is not None:
+        def emit(result: Any) -> None:
+            on_result(unwrap(result))
+
     with rec.span("engine.run_tasks"):
-        rec.gauge("engine.jobs", jobs)
-        results = _run_cached(_call_task, items, keys, jobs, cache,
-                              stats, rec, observer,
-                              supervision=options.supervision,
-                              journal=options.journal,
-                              failures=options.failures, describe=describe,
-                              health=options.health)
-        unwrapped: List[Any] = []
-        for result in results:
-            if isinstance(result, _TaskEnvelope):
-                if result.telemetry is not None:
+        rec.gauge("engine.jobs", options.jobs)
+        results = _run_cached(_call_task, items, keys, options, rec,
+                              describe, emit, execute)
+        if rec.enabled:
+            for result in results:
+                if isinstance(result, _TaskEnvelope) \
+                        and result.telemetry is not None:
                     rec.merge(result.telemetry)
-                unwrapped.append(result.value)
-            else:
-                unwrapped.append(result)
-    if observer.enabled:
-        observer.batch_finished(unwrapped)
+    unwrapped = [unwrap(result) for result in results]
+    if options.observer.enabled:
+        options.observer.batch_finished(unwrapped)
     return unwrapped

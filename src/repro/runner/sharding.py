@@ -13,12 +13,12 @@ that scale with three moves:
    The *total* shard count is deliberately excluded: re-dimensioning a
    campaign (more sessions at the same per-shard size) leaves existing
    shard fingerprints untouched, so only the new shards simulate.
-2. **The existing supervised pool.**  :func:`run_shards` feeds shards
-   through :func:`~repro.runner.pool.run_tasks` with explicit shard
-   keys, so everything the engine already guarantees — plan-order
-   results, ``jobs=N`` determinism, supervision retries/quarantine, the
-   write-ahead journal, ambient observers — applies per *shard* with no
-   new machinery.  Shard artifacts land in a :class:`ShardStore` (the
+2. **The existing engine.**  :func:`run_shards` feeds shards through
+   the batch pipeline behind :func:`~repro.runner.pool.run_tasks` with
+   explicit shard keys, so everything the engine already guarantees —
+   plan-order results, ``jobs=N`` determinism, supervision
+   retries/quarantine, the write-ahead journal, ambient observers —
+   applies per *shard* with no new machinery.  Shard artifacts land in a :class:`ShardStore` (the
    content-addressed cache, namespaced under ``<root>/shards``), so a
    re-run of a completed campaign re-simulates zero shards and a resumed
    one only the missing ones.
@@ -45,7 +45,7 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .cache import ResultCache
 from .fingerprint import code_version, fingerprint
-from .pool import SessionPlan, current_options, run_tasks
+from .pool import SessionPlan, _batch_options, _run_tasks, current_options
 from .supervise import CHAOS_ENV, chaos_hook, chaos_mark_done
 
 __all__ = [
@@ -238,39 +238,35 @@ def run_shards(fn: Callable[..., Any],
                ) -> List[Any]:
     """Run ``fn(*args)`` for each ``(spec, args)`` shard, in shard order.
 
-    The shard batch rides :func:`~repro.runner.pool.run_tasks` — ambient
+    The shard batch rides the engine's one batch pipeline (the one
+    behind :func:`~repro.runner.pool.run_tasks`) — ambient
     jobs/supervision/journal/observers all apply, each shard is one
-    supervised unit — but cache keys are :func:`shard_fingerprint`\\ s
-    and artifacts land in the :class:`ShardStore` next to the ambient
-    cache.  Returns the plan-ordered values (:class:`ShardResult`\\ s,
-    or :class:`~repro.runner.supervise.FailedUnit` placeholders under a
+    unit — but cache keys are :func:`shard_fingerprint`\\ s and
+    artifacts land in the :class:`ShardStore` next to the ambient cache.
+    An ambient :class:`~repro.runner.dist.DistPolicy` swaps the local
+    executor for the distributed coordinator (the shard queue and its
+    worker fleet); nothing else changes.  Returns the plan-ordered
+    values (:class:`ShardResult`\\ s, or
+    :class:`~repro.runner.supervise.FailedUnit` placeholders under a
     degraded campaign).
 
     ``on_result`` is the streaming-reduction hook: it receives every
-    value **in plan order**, and callers merge there instead of over
-    the returned list.  On this local path it fires after the batch; a
-    distributed run (an ambient
-    :class:`~repro.runner.dist.DistPolicy` on the engine options
-    re-routes the whole batch through the shard queue and its worker
-    fleet) streams it over the growing plan-order prefix while later
-    shards are still simulating — same call order, same merge result,
-    reduction overlapped with execution.
+    value **in plan order** as the settled plan-order prefix grows, so
+    callers merge there instead of over the returned list — same call
+    order and merge result on every executor, reduction overlapped
+    with execution.
     """
-    options = current_options()
+    options = _batch_options(
+        jobs, ShardStore.for_cache(current_options().cache), stats)
     keys = [shard_fingerprint(spec, fn, args) for spec, args in shards]
+    execute = None
     if options.dist is not None:
-        from .dist.coordinator import run_shards_distributed
+        from .dist.coordinator import Coordinator
 
-        return run_shards_distributed(fn, shards, keys, stats=stats,
-                                      on_result=on_result)
-    store = ShardStore.for_cache(options.cache)
+        execute = Coordinator(options, keys)
     payloads = [((fn, spec, tuple(args)),) for spec, args in shards]
-    results = run_tasks(_shard_call, payloads, jobs=jobs, cache=store,
-                        stats=stats, keys=keys)
-    if on_result is not None:
-        for result in results:
-            on_result(result)
-    return results
+    return _run_tasks(_shard_call, payloads, options, keys,
+                      on_result=on_result, execute=execute)
 
 
 def _session_shard(plans: Tuple[SessionPlan, ...]):

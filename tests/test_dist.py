@@ -35,7 +35,7 @@ import threading
 import time
 import pytest
 
-from repro.obs import load_journal
+from repro.obs import HealthMonitor, load_journal
 from repro.runner.cache import ResultCache
 from repro.runner.dist import (
     DistPolicy,
@@ -60,6 +60,7 @@ from repro.runner.supervise import (
     RetryBudget,
     SupervisionPolicy,
 )
+from repro.telemetry import recording
 
 
 # -- shard workers (module-level: payloads pickle by reference) --------------
@@ -446,6 +447,65 @@ class TestCoordinator:
             results = run_shards(_moments_shard, shards)
         assert isinstance(results[0], ShardResult)
         assert isinstance(results[1], FailedUnit)
+
+    def _distributed(self, tmp_path, shards, **options):
+        """Run ``shards`` through the coordinator, drained by one
+        in-process external worker; returns the results."""
+        worker = _fleet_thread(tmp_path / "q", tmp_path / "cache",
+                               worker_id="ext-w0", max_shards=len(shards))
+        with engine_options(
+                cache=ResultCache(tmp_path / "cache"),
+                dist=DistPolicy(queue=str(tmp_path / "q"), workers=0,
+                                ttl=10, poll=0.02), **options):
+            results = run_shards(_moments_shard, shards)
+        worker.join(timeout=30)
+        return results
+
+    def test_health_monitor_records_a_distributed_batch(self, tmp_path):
+        shards, _ = _make_shards(4)
+        journal = CampaignJournal(tmp_path / "run.jsonl",
+                                  meta={"experiment": "dist-test"})
+        with journal:
+            self._distributed(tmp_path, shards, journal=journal,
+                              health=HealthMonitor(journal=journal))
+        events = load_journal(tmp_path / "run.jsonl").events
+        [scheduled] = [e for e in events if e["event"] == "scheduled"]
+        assert scheduled["units"] == 4 and scheduled["cache_hits"] == 0
+        assert any(e["event"] == "heartbeat-summary" for e in events)
+
+    def test_engine_counters_match_the_local_run(self, tmp_path):
+        shards, _ = _make_shards(4)
+
+        def engine(rec):
+            return {name: value for name, value in rec.counters.items()
+                    if name.startswith("engine.")}
+
+        with recording() as local, \
+                engine_options(cache=ResultCache(tmp_path / "local")):
+            run_shards(_moments_shard, shards)
+        with recording() as dist:
+            self._distributed(tmp_path, shards)
+        assert engine(local) == {"engine.units": 4, "engine.cache_hits": 0,
+                                 "engine.cache_misses": 4}
+        assert engine(dist) == engine(local)
+
+    def test_coordinator_never_rewrites_a_worker_artifact(
+            self, tmp_path, monkeypatch):
+        shards, keys = _make_shards(3)
+        coordinator = threading.get_ident()
+        puts = []
+        real_put = ShardStore.put
+
+        def spy(store, key, value):
+            puts.append((threading.get_ident() == coordinator, key))
+            return real_put(store, key, value)
+
+        monkeypatch.setattr(ShardStore, "put", spy)
+        results = self._distributed(tmp_path, shards)
+        assert [r.shard.index for r in results] == [0, 1, 2]
+        # the worker stored every artifact once; the coordinator none
+        assert sorted(key for mine, key in puts if not mine) == sorted(keys)
+        assert [key for mine, key in puts if mine] == []
 
     def test_distributed_requires_a_shared_store(self, tmp_path):
         shards, _ = _make_shards(1)

@@ -175,6 +175,27 @@ class TestStraggler:
         flagged = [s for s in monitor.poll() if s.kind == "straggler"]
         assert [s.unit for s in flagged] == [50]
 
+    def test_p50_equals_median_over_a_random_completion_order(self):
+        import random
+
+        rng = random.Random(11)
+        clock = FakeClock()
+        monitor = _monitor(clock, min_completed=1, miss_after=1e9)
+        started = {}      # lane -> (unit, clock at start)
+        completed = []    # every latency the monitor should hold
+        for step in range(400):
+            clock.advance(round(rng.uniform(0.1, 1.5), 1))  # ties too
+            lane = f"w{rng.randrange(4)}"
+            if lane not in started:
+                started[lane] = (step, clock.now)
+                monitor.unit_started(lane, step, "u", None)
+                continue
+            unit, at = started.pop(lane)
+            monitor.unit_finished(lane, unit)
+            completed.append(clock.now - at)
+            assert monitor.completed_p50() == median(completed)
+        assert len(completed) > 150
+
     def test_completion_clears_the_flag(self):
         clock = FakeClock()
         monitor = _monitor(clock, straggler_factor=2.0, min_completed=3,
