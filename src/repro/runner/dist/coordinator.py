@@ -45,7 +45,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..pool import EngineOptions
-from ..sharding import ShardSpec
 from ..supervise import FailedUnit, UnitFailure
 from .queue import FileShardQueue
 
@@ -187,10 +186,6 @@ class _LocalFleet:
         self.procs.clear()
 
 
-def _shard_label(spec: ShardSpec) -> str:
-    return f"{spec.campaign} #{spec.index}/{spec.of}"
-
-
 class Coordinator:
     """The distributed executor for one shard batch (see module doc).
 
@@ -218,20 +213,22 @@ class Coordinator:
     def __call__(self, worker: Callable[[Any], Any], items: Sequence[Any],
                  *, keys: Sequence[str], on_done: Callable[..., None],
                  on_failure: Callable[[UnitFailure], None],
+                 describe: Callable[[int], str],
                  health: Optional[Any] = None, **_unused: Any
                  ) -> Tuple[List[Any], List[UnitFailure], int]:
         """Publish ``items``, then settle each as its marker appears.
 
         ``items`` are the pipeline's task units, each wrapping one
         shard payload ``(fn, spec, args)``; the queue carries only the
-        payload, which is what a worker executes.  ``worker`` and the
-        local pool's ``jobs``/``policy``/``describe`` are not used:
-        remote workers bring their own supervision.
+        payload, which is what a worker executes.  ``describe`` gives
+        each unit's shard label, as on the local executors.  ``worker``
+        and the local pool's ``jobs``/``policy`` are not used: remote
+        workers bring their own supervision.
         """
         policy, queue, journal = self.policy, self.queue, self.journal
         observer = self.observer
         payloads = [item[1][0] for item in items]
-        labels = [_shard_label(spec) for _fn, spec, _args in payloads]
+        labels = [describe(j) for j in range(len(items))]
         published = 0
         for key, payload in zip(keys, payloads):
             data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)

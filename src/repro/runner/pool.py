@@ -615,9 +615,14 @@ def run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple], *,
 def _run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple],
                options: EngineOptions, keys: Optional[List[str]],
                on_result: Optional[Callable[[Any], None]] = None,
-               execute: Optional[Executor] = None) -> List[Any]:
+               execute: Optional[Executor] = None,
+               labels: Optional[Sequence[str]] = None) -> List[Any]:
     """:func:`run_tasks` with the pipeline's streaming hook and executor
-    seam exposed (the shard engine's entry point; see :func:`_run_cached`)."""
+    seam exposed (the shard engine's entry point; see :func:`_run_cached`).
+
+    ``labels`` names each unit in ``started``/``retried``/``quarantined``
+    events and failure reports; by default a unit is named after ``fn``
+    and its clipped arguments."""
     rec = current_recorder()
     items = [(fn, tuple(args), rec.enabled) for args in argslist]
     if keys is not None:
@@ -631,6 +636,8 @@ def _run_tasks(fn: Callable[..., Any], argslist: Iterable[tuple],
         keys = [task_fingerprint(fn, args) for _fn, args, _record in items]
 
     def describe(i: int) -> str:
+        if labels is not None:
+            return labels[i]
         _fn, args, _record = items[i]
         rendered = repr(args)
         if len(rendered) > 60:

@@ -213,6 +213,12 @@ def split_items(items: Sequence[Any], shards: int = 1, *,
     return [list(items[i:i + size]) for i in range(0, len(items), size)]
 
 
+def shard_label(spec: ShardSpec) -> str:
+    """How events and failure reports name a shard unit, e.g.
+    ``model_validation:No ON-OFF #3/13``."""
+    return f"{spec.campaign} #{spec.index}/{spec.of}"
+
+
 def _shard_call(payload: Tuple[Callable[..., Any], ShardSpec, tuple]):
     """Pool worker: run one shard and wrap its reduction in a
     :class:`ShardResult` (in the worker, so cached artifacts carry the
@@ -266,7 +272,8 @@ def run_shards(fn: Callable[..., Any],
         execute = Coordinator(options, keys)
     payloads = [((fn, spec, tuple(args)),) for spec, args in shards]
     return _run_tasks(_shard_call, payloads, options, keys,
-                      on_result=on_result, execute=execute)
+                      on_result=on_result, execute=execute,
+                      labels=[shard_label(spec) for spec, _args in shards])
 
 
 def _session_shard(plans: Tuple[SessionPlan, ...]):

@@ -30,16 +30,27 @@ from repro.model import (
     simulate_aggregate,
     simulate_aggregate_moments,
 )
-from repro.obs import CampaignCollector, CampaignSnapshot, ProgressReporter
+from repro.obs import (
+    CampaignCollector,
+    CampaignSnapshot,
+    HealthMonitor,
+    HealthPolicy,
+    ProgressReporter,
+    load_journal,
+)
 from repro.runner import (
+    CampaignJournal,
     EngineOptions,
+    FailureReport,
     ResultCache,
+    RetryBudget,
     RunStats,
     SessionPlan,
     ShardResult,
     ShardSpec,
     ShardStore,
     Sharding,
+    SupervisionPolicy,
     current_options,
     engine_options,
     merge_options,
@@ -345,6 +356,48 @@ class TestRunShards:
         # the first 4 shards of the grown campaign are cache hits even
         # though the shard *count* changed
         assert grown.cache_hits == 4 and grown.cache_misses == 4
+
+
+def _poisoned_double(x):
+    if x == 2:
+        raise RuntimeError("poisoned shard")
+    return x * 2
+
+
+class TestShardLabels:
+    """Local shard units carry the shard label the fabric uses, in every
+    ``started``/``retried``/``quarantined`` event and failure record."""
+
+    def _campaign(self, root):
+        journal = CampaignJournal(root / "run.jsonl",
+                                  meta={"experiment": "labels"})
+        monitor = HealthMonitor(HealthPolicy(interval=0.1), journal=journal)
+        failures = FailureReport()
+        policy = SupervisionPolicy(
+            retry=RetryBudget(max_attempts=2, backoff_base=0.0),
+            degrade=True)
+        units = [(_spec(index=i, of=3, units=1), (i,)) for i in range(3)]
+        with journal, engine_options(journal=journal, health=monitor,
+                                     failures=failures, supervision=policy,
+                                     cache=ResultCache(root / "cache")):
+            run_shards(_poisoned_double, units, jobs=2)
+        events = load_journal(root / "run.jsonl").events
+        labelled = sorted((e["event"], e["label"]) for e in events
+                          if e["event"] in ("started", "retried",
+                                            "quarantined"))
+        return labelled, [r["label"] for r in failures.records()]
+
+    def test_labels_name_the_shard_and_repeat(self, tmp_path):
+        first = self._campaign(tmp_path / "a")
+        second = self._campaign(tmp_path / "b")
+        assert first == second
+        labelled, failed = first
+        assert failed == ["camp #2/3"]
+        assert ("quarantined", "camp #2/3") in labelled
+        assert ("retried", "camp #2/3") in labelled
+        assert {label for event, label in labelled if event == "started"} \
+            == {"camp #0/3", "camp #1/3", "camp #2/3"}
+        assert not any("0x" in label for _event, label in labelled)
 
 
 # -- streaming reduction equivalence (the satellite-4 contract) --------------
