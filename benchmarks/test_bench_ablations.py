@@ -141,7 +141,8 @@ def test_bench_ablation_phase_detector(benchmark, show):
     result = benchmark.pedantic(lambda: flash_session(seed=7), rounds=1,
                                 iterations=1)
     analysis = analyze_session(result)
-    knee = split_phases_rate_knee(analysis.trace.events)
+    knee = split_phases_rate_knee(analysis.trace.event_times,
+                                  analysis.trace.event_advances)
     first_off = analysis.phases.buffering_end
     show(
         "Ablation — buffering-phase detectors (clean path)\n"

@@ -7,7 +7,7 @@ This example streams a session, writes the capture as a real pcap file,
 parses it back through the full Ethernet/IPv4/TCP stack (checksums,
 32-bit sequence wrap, window scaling), and shows that the analysis of the
 re-parsed trace is identical.  To analyze *re-collected real traces*,
-point ``records_from_pcap`` at your own capture.
+point ``columns_from_pcap`` at your own capture.
 
 Run:  python examples/pcap_workflow.py
 """
@@ -16,7 +16,7 @@ import os
 import tempfile
 
 from repro.analysis import analyze_records, analyze_session
-from repro.pcap import records_from_pcap
+from repro.pcap import columns_from_pcap
 from repro.simnet import CLIENT_IP, RESEARCH, SERVER_IP
 from repro.streaming import (
     Application,
@@ -45,8 +45,8 @@ def main() -> None:
     print(f"wrote {n} packets ({size / 1e6:.1f} MB) to {path}")
 
     # the round trip: parse the pcap bytes back and re-run the pipeline
-    records = records_from_pcap(path)
-    from_pcap = analyze_records(records, CLIENT_IP, SERVER_IP,
+    packets = columns_from_pcap(path)
+    from_pcap = analyze_records(packets, CLIENT_IP, SERVER_IP,
                                 duration=video.duration)
     direct = analyze_session(result)
 

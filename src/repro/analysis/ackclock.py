@@ -11,8 +11,11 @@ measured YouTube/Netflix sources instead blast `min(cwnd, block size)`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional
+
+import numpy as np
 
 from .flowtable import DownloadTrace, FlowData
 from .onoff import DEFAULT_GAP_THRESHOLD, DEFAULT_MIN_ON_BYTES, detect_onoff
@@ -43,19 +46,22 @@ def first_rtt_bytes(
     imposes an ACK clock).
     """
     effective_rtt = rtt if rtt is not None else flow.handshake_rtt
-    if effective_rtt is None or not flow.events:
+    times, advances = flow.event_times, flow.event_advances
+    if effective_rtt is None or not times:
         return []
     onoff = detect_onoff(
-        flow.events, gap_threshold=gap_threshold, min_on_bytes=min_on_bytes
+        times, advances, gap_threshold=gap_threshold,
+        min_on_bytes=min_on_bytes
     )
     periods = onoff.on_periods[1:] if skip_first else onoff.on_periods
+    # the events are time-ordered: a window [start, start + rtt] (both
+    # ends inclusive) is a slice, and a prefix sum prices it in O(1)
+    prefix = [0] + np.cumsum(advances, dtype=np.int64).tolist()
     samples = []
     for period in periods:
-        horizon = period.start + effective_rtt
-        moved = sum(
-            advance for t, advance in flow.events
-            if period.start <= t <= horizon
-        )
+        lo = bisect_left(times, period.start)
+        hi = bisect_right(times, period.start + effective_rtt)
+        moved = prefix[hi] - prefix[lo] if hi > lo else 0
         samples.append(AckClockSample(period.start, moved, effective_rtt))
     return samples
 

@@ -1,8 +1,10 @@
-"""Flow tracking and download-trace reconstruction from packet records.
+"""Flow tracking and download-trace reconstruction from packet columns.
 
 The analysis views a streaming session the way the paper's tooling viewed a
 tcpdump capture: a set of TCP flows between a client and the streaming
-server.  :func:`build_download_trace` reconstructs, from raw packets,
+server.  :func:`build_download_trace` reconstructs, from a capture's
+:class:`~repro.pcap.capture.PacketColumns` view (simulated or parsed from
+a pcap),
 
 * the *arrival events* of new (unique) downstream payload bytes — the
   cumulative download curve of Figures 2(a), 6(a), 7(a), 10;
@@ -13,14 +15,18 @@ server.  :func:`build_download_trace` reconstructs, from raw packets,
 * the in-order leading payload bytes of each flow, from which HTTP response
   heads and container metadata are re-parsed.
 
+It is one batch pass over the columns.  Each flow id of the view is
+classified once as downstream (server → client), upstream or other; the
+per-packet work is then numpy masks and, per downstream flow, a
+vectorized sequence unwrap, running maximum and unique-byte advance.
 Sequence numbers are 32-bit wire values; each flow unwraps them
 independently, so the pipeline works on real pcap input too.
 
-Per-packet state is held in columnar ``array('d')``/``array('q')``
-buffers — one float and one int append per data packet instead of a
-tuple and two list appends.  The tuple-list views the downstream
-consumers iterate (:attr:`FlowData.events`, :attr:`DownloadTrace.events`)
-are materialized lazily on first access and cached.
+Both the per-flow and the aggregate events are held as two parallel
+columns, :attr:`~_EventColumns.event_times` (``array('d')``) and
+:attr:`~_EventColumns.event_advances` (``array('q')``), which
+:func:`~repro.analysis.onoff.detect_onoff` and the ACK-clock metric read
+directly.
 """
 
 from __future__ import annotations
@@ -29,48 +35,36 @@ from array import array
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
-from ..pcap.capture import PacketRecord
+import numpy as np
+
+from ..pcap.capture import PacketInput, as_columns
 from ..simnet.monitor import TimeSeries
 from ..tcp.constants import ACK as F_ACK
 from ..tcp.constants import SYN as F_SYN
-from ..tcp.seqspace import SequenceUnwrapper
+from ..tcp.seqspace import HALF_MOD, SEQ_MOD
 
 FlowKey = Tuple[str, int, str, int]  # (src_ip, src_port, dst_ip, dst_port)
+
+#: Direction codes of a view's flow ids, relative to (client, server).
+_OTHER, _DOWN, _UP = 0, 1, 2
 
 
 class _EventColumns:
     """Columnar (time, unique-byte advance) event log shared by flow and
-    aggregate views: two parallel arrays plus a lazily-built tuple view."""
+    aggregate views: one row per downstream data packet, in time order."""
 
-    __slots__ = ("_event_times", "_event_advances", "_events_cache")
+    __slots__ = ("event_times", "event_advances")
 
     def __init__(self) -> None:
-        self._event_times = array("d")
-        self._event_advances = array("q")
-        self._events_cache: Optional[List[Tuple[float, int]]] = None
-
-    def _add_event(self, t: float, advance: int) -> None:
-        self._event_times.append(t)
-        self._event_advances.append(advance)
-
-    @property
-    def events(self) -> List[Tuple[float, int]]:
-        """``(time, advance)`` pairs, one per downstream data packet."""
-        cache = self._events_cache
-        if cache is None or len(cache) != len(self._event_times):
-            cache = list(zip(self._event_times, self._event_advances))
-            self._events_cache = cache
-        return cache
-
-    @property
-    def activity(self) -> array:
-        """Data-packet timestamps (retransmissions included)."""
-        return self._event_times
+        #: Data-packet timestamps (retransmissions included).
+        self.event_times = array("d")
+        #: New unique bytes each data packet moved (0 for a retransmission).
+        self.event_advances = array("q")
 
     @property
     def packet_count(self) -> int:
         """Downstream data packets seen (retransmissions included)."""
-        return len(self._event_times)
+        return len(self.event_times)
 
 
 class FlowData(_EventColumns):
@@ -89,8 +83,6 @@ class FlowData(_EventColumns):
         "total_payload_bytes",
         "retransmitted_bytes",
         "head_bytes",
-        "_head_expect",
-        "_unwrapper",
     )
 
     HEAD_CAPTURE_LIMIT = 8192
@@ -103,51 +95,55 @@ class FlowData(_EventColumns):
         self.handshake_rtt: Optional[float] = None
         self.first_data_time: Optional[float] = None
         self.last_data_time: Optional[float] = None
-        self.base_seq: Optional[int] = None   # unwrapped seq of first payload byte
+        self.base_seq: Optional[int] = None   # wire seq of first payload byte
         self.max_seq_seen = 0                 # highest unwrapped end-seq (relative)
         self.unique_bytes = 0
         self.total_payload_bytes = 0
         self.retransmitted_bytes = 0
         self.head_bytes = bytearray()
-        self._head_expect = 0
-        self._unwrapper = SequenceUnwrapper()
 
-    def on_data_packet(self, record: PacketRecord) -> int:
-        """Account one downstream data packet; returns the unique-byte advance."""
-        payload_len = record.payload_len
-        timestamp = record.timestamp
-        seq = self._unwrapper.unwrap(record.seq)
-        if self.base_seq is None:
-            self.base_seq = seq
-        rel = seq - self.base_seq
-        end = rel + payload_len
-        max_seen = self.max_seq_seen
-        advance = end - max_seen
-        if advance < 0:
-            advance = 0
+    def on_data_packets(self, times: np.ndarray, seqs: np.ndarray,
+                        plens: np.ndarray,
+                        payloads: Dict[int, bytes]) -> np.ndarray:
+        """Account the flow's downstream data packets, given as columns
+        in time order; returns each packet's unique-byte advance.
+
+        ``seqs`` are 32-bit wire values; ``payloads`` maps a position in
+        the columns to that packet's real payload bytes.
+        """
+        # unwrap: each step is the signed distance on the 32-bit circle
+        # from the previous packet's sequence number (seq_diff)
+        step = np.diff(seqs) % SEQ_MOD
+        step[step > HALF_MOD] -= SEQ_MOD
+        rel = np.zeros(len(seqs), dtype=np.int64)
+        np.cumsum(step, out=rel[1:])
+        end = rel + plens
+        # highest end-sequence seen before each packet (0 before any)
+        seen = np.zeros(len(seqs), dtype=np.int64)
+        np.maximum.accumulate(end[:-1], out=seen[1:])
+        np.maximum(seen, 0, out=seen)
+        advance = np.maximum(end - seen, 0)
         # client-side retransmission detection by sequence regression (what
         # tstat-style tools do): a data packet starting below the highest
         # sequence already seen is a retransmission — either a duplicate or
         # a late hole-filler whose original was lost upstream of the capture
-        if rel < max_seen:
-            self.retransmitted_bytes += payload_len
-        # capture the in-order leading bytes for HTTP/container parsing
-        if (
-            record.payload is not None
-            and rel == self._head_expect
-            and len(self.head_bytes) < self.HEAD_CAPTURE_LIMIT
-        ):
-            self.head_bytes.extend(record.payload)
-            self._head_expect = rel + payload_len
-        if end > max_seen:
-            self.max_seq_seen = end
-        self.unique_bytes += advance
-        self.total_payload_bytes += payload_len
-        if self.first_data_time is None:
-            self.first_data_time = timestamp
-        self.last_data_time = timestamp
-        self._event_times.append(timestamp)
-        self._event_advances.append(advance)
+        self.retransmitted_bytes += int(plens[rel < seen].sum())
+        self.base_seq = int(seqs[0])
+        self.max_seq_seen = max(int(seen[-1]), int(end[-1]))
+        self.unique_bytes += int(advance.sum())
+        self.total_payload_bytes += int(plens.sum())
+        self.first_data_time = float(times[0])
+        self.last_data_time = float(times[-1])
+        self.event_times.frombytes(times.tobytes())
+        self.event_advances.frombytes(advance.tobytes())
+        # the in-order leading bytes, for HTTP/container parsing
+        expect = 0
+        for pos in sorted(payloads):
+            if len(self.head_bytes) >= self.HEAD_CAPTURE_LIMIT:
+                break
+            if int(rel[pos]) == expect:
+                self.head_bytes.extend(payloads[pos])
+                expect = int(end[pos])
         return advance
 
     @property
@@ -222,8 +218,8 @@ class DownloadTrace(_EventColumns):
         """The download-amount-vs-time curve (Figure 2(a) style)."""
         return TimeSeries.from_columns(
             "download-amount",
-            self._event_times,
-            map(float, accumulate(self._event_advances)),
+            self.event_times,
+            map(float, accumulate(self.event_advances)),
         )
 
     def median_handshake_rtt(self) -> Optional[float]:
@@ -250,55 +246,91 @@ class DownloadTrace(_EventColumns):
 
 
 def build_download_trace(
-    records: List[PacketRecord],
+    packets: PacketInput,
     client_ip: str,
     server_ip: str,
 ) -> DownloadTrace:
-    """Reconstruct the aggregate download trace of one capture."""
+    """Reconstruct the aggregate download trace of one capture.
+
+    ``packets`` is a capture's :class:`~repro.pcap.capture.PacketColumns`
+    view; a :class:`~repro.pcap.capture.PacketRecord` sequence is
+    converted to one first.
+    """
+    cols = as_columns(packets)
     flows: Dict[FlowKey, FlowData] = {}
-    window_times = array("d")
-    window_values = array("d")
+    n = len(cols)
     trace = DownloadTrace(
         client_ip=client_ip,
         server_ip=server_ip,
         flows=flows,
         window_series=TimeSeries("recv-window"),
-        capture_start=records[0].timestamp if records else 0.0,
-        capture_end=records[-1].timestamp if records else 0.0,
+        capture_start=float(cols.t[0]) if n else 0.0,
+        capture_end=float(cols.t[-1]) if n else 0.0,
     )
-    agg_times = trace._event_times
-    agg_advances = trace._event_advances
+    if not n:
+        return trace
 
-    for record in records:
-        src, dst = record.src_ip, record.dst_ip
-        downstream = src == server_ip and dst == client_ip
-        if downstream:
-            key = (src, record.src_port, dst, record.dst_port)
-        elif src == client_ip and dst == server_ip:  # upstream
-            key = (dst, record.dst_port, src, record.src_port)
+    # classify each flow id once; both directions of a connection share
+    # one FlowData keyed server -> client
+    direction = np.zeros(len(cols.flows), dtype=np.int8)
+    keys: List[Optional[FlowKey]] = []
+    for fid, (src, sport, dst, dport) in enumerate(cols.flows):
+        if src == server_ip and dst == client_ip:
+            direction[fid] = _DOWN
+            keys.append((src, sport, dst, dport))
+        elif src == client_ip and dst == server_ip:
+            direction[fid] = _UP
+            keys.append((dst, dport, src, sport))
         else:
-            continue
-        flow = flows.get(key)
-        if flow is None:
-            flow = flows[key] = FlowData(key=key)
+            keys.append(None)
+    # flows enter the table in order of their first packet, either way
+    fids, first_rows = np.unique(cols.flow, return_index=True)
+    for row, fid in sorted(zip(first_rows.tolist(), fids.tolist())):
+        key = keys[fid]
+        if key is not None and key not in flows:
+            flows[key] = FlowData(key=key)
 
-        flags = record.flags
-        if flags & F_SYN:
-            if not downstream and flow.syn_time is None:
-                flow.syn_time = record.timestamp
-            elif downstream and flow.synack_time is None:
-                flow.synack_time = record.timestamp
-                if flow.syn_time is not None:
-                    flow.handshake_rtt = flow.synack_time - flow.syn_time
-            continue
-        if downstream and record.payload_len > 0:
-            advance = flow.on_data_packet(record)
-            agg_times.append(record.timestamp)
-            agg_advances.append(advance)
-        elif not downstream and flags & F_ACK:
-            window_times.append(record.timestamp)
-            window_values.append(record.window)
+    side = direction[cols.flow]
+    syn = (cols.flags & F_SYN) != 0
 
+    # handshakes: the first client SYN, then the first server SYN-ACK
+    for row in np.flatnonzero(syn & (side != _OTHER)).tolist():
+        fid = int(cols.flow[row])
+        flow = flows[keys[fid]]
+        t = float(cols.t[row])
+        if direction[fid] == _UP:
+            if flow.syn_time is None:
+                flow.syn_time = t
+        elif flow.synack_time is None:
+            flow.synack_time = t
+            if flow.syn_time is not None:
+                flow.handshake_rtt = t - flow.syn_time
+
+    # downstream data packets, one flow at a time
+    data_rows = np.flatnonzero((side == _DOWN) & ~syn & (cols.plen > 0))
+    data_fids = cols.flow[data_rows]
+    by_flow = np.argsort(data_fids, kind="stable")
+    bounds = np.flatnonzero(np.diff(data_fids[by_flow])) + 1
+    groups = np.split(by_flow, bounds) if len(by_flow) else []
+    advances = np.empty(len(data_rows), dtype=np.int64)
+    payloads = cols.payloads
+    held_rows = np.array(sorted(payloads), dtype=np.int64)
+    for group in groups:
+        rows = data_rows[group]
+        flow = flows[keys[int(cols.flow[rows[0]])]]
+        # this flow's rows that carry real payload bytes
+        at = np.searchsorted(rows, held_rows).clip(max=len(rows) - 1)
+        mine = rows[at] == held_rows
+        held = {pos: payloads[row] for pos, row in
+                zip(at[mine].tolist(), held_rows[mine].tolist())}
+        advances[group] = flow.on_data_packets(
+            cols.t[rows], cols.seq[rows], cols.plen[rows], held)
+    trace.event_times.frombytes(cols.t[data_rows].tobytes())
+    trace.event_advances.frombytes(advances.tobytes())
+
+    # the client's advertised window, from every upstream ACK
+    acks = (side == _UP) & ~syn & ((cols.flags & F_ACK) != 0)
     trace.window_series = TimeSeries.from_columns(
-        "recv-window", window_times, window_values)
+        "recv-window", cols.t[acks].tolist(),
+        cols.window[acks].astype(np.float64).tolist())
     return trace

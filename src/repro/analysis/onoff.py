@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 #: Default idle-gap threshold separating ON from OFF, in seconds.  The
 #: shortest OFF periods the paper reports are ~0.2 s; intra-block gaps are
 #: bounded by the RTT (tens of milliseconds).
@@ -92,31 +94,34 @@ class OnOffProfile:
 
 
 def detect_onoff(
-    events: Sequence[Tuple[float, int]],
+    times: Sequence[float],
+    advances: Sequence[int],
     *,
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
     min_on_bytes: int = DEFAULT_MIN_ON_BYTES,
     stream_end: Optional[float] = None,
 ) -> OnOffProfile:
-    """Partition data-arrival ``events`` into ON and OFF periods.
+    """Partition data-arrival events into ON and OFF periods.
 
-    ``events`` is a time-ordered sequence of ``(timestamp, new_bytes)``;
-    retransmissions appear with ``new_bytes == 0`` and still count as
-    activity.  ``stream_end`` (defaults to the last event) bounds the
-    analysis — idleness after the transfer finished is not an OFF period.
+    The events are two parallel columns (a trace's or flow's
+    ``event_times`` and ``event_advances``): non-decreasing timestamps
+    and the new bytes each arrival moved.  Retransmissions appear with
+    an advance of 0 and still count as activity.  ``stream_end``
+    (defaults to the last event) bounds the analysis — idleness after
+    the transfer finished is not an OFF period.
     """
-    if not events:
+    if not len(times):
         return OnOffProfile([], [], gap_threshold)
 
-    groups: List[Tuple[float, float, int]] = []  # (start, end, bytes)
-    start, end, moved = events[0][0], events[0][0], events[0][1]
-    for t, advance in events[1:]:
-        if t - end > gap_threshold:
-            groups.append((start, end, moved))
-            start, moved = t, 0
-        end = t
-        moved += advance
-    groups.append((start, end, moved))
+    # one pass over the columns: a gap longer than the threshold closes a
+    # group of arrivals and opens the next
+    t = np.asarray(times, dtype=np.float64)
+    opens = np.flatnonzero(np.diff(t) > gap_threshold) + 1
+    starts = np.concatenate(([0], opens))
+    ends = np.concatenate((opens - 1, [len(t) - 1]))
+    moved = np.add.reduceat(np.asarray(advances, dtype=np.int64), starts)
+    groups: List[Tuple[float, float, int]] = list(zip(  # (start, end, bytes)
+        t[starts].tolist(), t[ends].tolist(), moved.tolist()))
 
     # absorb noise bursts (window probes, stray retransmits) into idle time
     significant = [g for g in groups if g[2] >= min_on_bytes]

@@ -11,7 +11,7 @@ alternative rate-knee detector used by the ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .onoff import OnOffProfile
 
@@ -84,7 +84,8 @@ def split_phases(
 
 
 def split_phases_rate_knee(
-    events: Sequence[Tuple[float, int]],
+    times: Sequence[float],
+    advances: Sequence[int],
     *,
     window: float = 2.0,
     drop_ratio: float = 0.5,
@@ -92,29 +93,31 @@ def split_phases_rate_knee(
     """Alternative buffering-end detector: the first time the windowed
     download rate falls below ``drop_ratio`` times the initial rate.
 
-    Used by the phase-detector ablation; returns the knee time or ``None``.
+    ``times``/``advances`` are a trace's event columns.  Used by the
+    phase-detector ablation; returns the knee time or ``None``.
     """
-    if not events:
+    if not times:
         return None
-    start = events[0][0]
+    start = times[0]
     # initial rate over the first window
-    first_bytes = sum(b for t, b in events if t <= start + window)
+    first_bytes = sum(b for t, b in zip(times, advances)
+                      if t <= start + window)
     if first_bytes == 0:
         return None
     initial_rate = first_bytes / window
     t_cursor = start + window
     idx = 0
-    n = len(events)
+    n = len(times)
     # only evaluate complete windows: the ragged tail after the last event
     # is the end of the transfer, not a rate knee
-    while t_cursor + window <= events[-1][0]:
+    while t_cursor + window <= times[-1]:
         lo, hi = t_cursor, t_cursor + window
         moved = 0
-        while idx < n and events[idx][0] < lo:
+        while idx < n and times[idx] < lo:
             idx += 1
         j = idx
-        while j < n and events[j][0] < hi:
-            moved += events[j][1]
+        while j < n and times[j] < hi:
+            moved += advances[j]
             j += 1
         if moved / window < drop_ratio * initial_rate:
             return t_cursor

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..pcap.capture import PacketRecord
+from ..pcap.capture import PacketInput, as_columns
 from ..streaming.session import SessionResult
 from ..telemetry import current_recorder
 from ..streaming.strategy import StreamingStrategy
@@ -70,7 +70,7 @@ class SessionAnalysis:
 
 
 def analyze_records(
-    records: List[PacketRecord],
+    packets: PacketInput,
     client_ip: str,
     server_ip: str,
     *,
@@ -78,19 +78,24 @@ def analyze_records(
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
     min_on_bytes: int = DEFAULT_MIN_ON_BYTES,
 ) -> SessionAnalysis:
-    """Run the full pipeline on raw packet records.
+    """Run the full pipeline on a capture.
 
-    ``duration`` is the out-of-band video duration, needed to estimate the
-    encoding rate of webM streams from the Content-Length.
+    ``packets`` is the capture's :class:`~repro.pcap.capture.PacketColumns`
+    view (a :class:`~repro.pcap.capture.PacketRecord` sequence is
+    converted once).  ``duration`` is the out-of-band video duration,
+    needed to estimate the encoding rate of webM streams from the
+    Content-Length.
     """
     rec = current_recorder()
     with rec.span("analysis"):
+        packets = as_columns(packets)
         if rec.enabled:
             rec.inc("analysis.sessions")
-            rec.inc("analysis.packets", len(records))
-        trace = build_download_trace(records, client_ip, server_ip)
+            rec.inc("analysis.packets", len(packets))
+        trace = build_download_trace(packets, client_ip, server_ip)
         onoff = detect_onoff(
-            trace.events,
+            trace.event_times,
+            trace.event_advances,
             gap_threshold=gap_threshold,
             min_on_bytes=min_on_bytes,
             stream_end=trace.last_data_time,
@@ -127,7 +132,7 @@ def analyze_session(
     artifact against perfect knowledge (Section 5.1.1's discussion).
     """
     analysis = analyze_records(
-        result.records,
+        result.capture.columns(),
         result.client_ip,
         result.server_ip,
         duration=result.video.duration,

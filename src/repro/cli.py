@@ -401,11 +401,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     from .analysis import analyze_records, bytes_human, median
-    from .pcap import records_from_pcap
+    from .pcap import columns_from_pcap
     from .simnet import CLIENT_IP, SERVER_IP
 
-    records = records_from_pcap(args.pcap)
-    if not records:
+    packets = columns_from_pcap(args.pcap)
+    if not len(packets):
         print(f"{args.pcap}: no packets", file=sys.stderr)
         return 1
     client = args.client or CLIENT_IP
@@ -413,11 +413,11 @@ def _cmd_analyze(args) -> int:
     kwargs = {}
     if args.gap_threshold is not None:
         kwargs["gap_threshold"] = args.gap_threshold
-    analysis = analyze_records(records, client, server,
+    analysis = analyze_records(packets, client, server,
                                duration=args.duration, **kwargs)
     trace = analysis.trace
     print(f"capture          : {args.pcap}")
-    print(f"packets          : {len(records)}")
+    print(f"packets          : {len(packets)}")
     print(f"flows            : {trace.flow_count}")
     print(f"downloaded       : {bytes_human(trace.total_bytes)}")
     print(f"retransmissions  : {analysis.retransmission_rate:.2%}")

@@ -15,8 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 from ..analysis import analyze_session, correlation, format_table
 from ..simnet import RESEARCH, TimeSeries
+from ..tcp.constants import SYN
 from ..streaming import (
     Application,
     Container,
@@ -94,9 +97,11 @@ def _trace(video: Video, result) -> Fig7Video:
     analysis = analyze_session(result, use_true_rate=True)
     blocks = analysis.block_sizes
     # connections opened in the first minute: SYNs from the client
-    syns = [r for r in result.records
-            if r.is_syn and r.src_ip == result.client_ip]
-    first_minute = sum(1 for r in syns if r.timestamp <= 60.0)
+    packets = result.capture.columns()
+    first_minute = sum(
+        1 for row in np.flatnonzero(packets.flags & SYN).tolist()
+        if packets.flows[packets.flow[row]][0] == result.client_ip
+        and packets.t[row] <= 60.0)
     label = "Video1" if video.encoding_rate_bps >= 1e6 else "Video2"
     return Fig7Video(
         label=label,

@@ -8,7 +8,7 @@ turns a :class:`~repro.streaming.session.SessionResult` into exactly
 those records, as plain dicts ready for any serializer.
 
 Determinism contract: a flow record is a pure function of the session's
-packet records and QoE fields.  It never reads telemetry, wall-clock
+captured packets and QoE fields.  It never reads telemetry, wall-clock
 time or engine state, so exports are byte-identical across worker counts
 and with recording on or off.
 """
@@ -70,9 +70,10 @@ def flow_records(result: SessionResult, session_id: str) -> List[Dict]:
     repeated on every flow of the session, the way flow exporters
     denormalize per-exporter attributes.
     """
-    trace = build_download_trace(result.records, result.client_ip,
+    trace = build_download_trace(result.capture.columns(), result.client_ip,
                                  result.server_ip)
-    onoff = detect_onoff(trace.events, stream_end=trace.last_data_time)
+    onoff = detect_onoff(trace.event_times, trace.event_advances,
+                         stream_end=trace.last_data_time)
     classification = classify_onoff(onoff)
     session_fields = {
         "session": session_id,

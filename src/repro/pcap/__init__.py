@@ -8,8 +8,10 @@ simulated captures and on re-collected real tcpdump traces.
 from . import ethernet, ipv4, tcpwire
 from .capture import (
     WSCALE_SHIFT,
+    PacketColumns,
     PacketRecord,
     TraceCapture,
+    columns_from_pcap,
     record_from_segment,
     records_from_pcap,
     segment_to_frame,
@@ -26,8 +28,10 @@ from .pcapfile import (
 from .pcapng import PcapngReader, PcapngWriter, is_pcapng
 
 __all__ = [
+    "PacketColumns",
     "PacketRecord",
     "TraceCapture",
+    "columns_from_pcap",
     "record_from_segment",
     "records_from_pcap",
     "segment_to_frame",

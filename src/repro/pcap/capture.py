@@ -1,23 +1,35 @@
-"""Capturing simulated traffic, tcpdump-style.
+"""Capturing simulated traffic, tcpdump-style, and the analysis input.
 
 :class:`TraceCapture` attaches to links/paths as a tap and records every
 segment (including ones later lost downstream, as a sender-side tcpdump
-would).  Records are exposed in two equivalent forms:
+would) into columnar buffers.
 
-* :attr:`TraceCapture.records` — :class:`PacketRecord` objects, the fast
-  path the analysis pipeline consumes directly;
-* :meth:`TraceCapture.write_pcap` — byte-exact libpcap output, which
-  :func:`records_from_pcap` parses back into identical ``PacketRecord``
-  lists.  The round trip exercises real header serialization (checksums,
-  32-bit sequence wrap, window scaling), proving the analysis would work
-  unchanged on re-collected real traces.
+The analysis consumes one representation of a capture, whatever its
+source: :class:`PacketColumns`, a time-ordered, wire-quantized columnar
+view.  Rows are ordered by timestamp, capture (file) order breaking
+ties; sequence and ack numbers are 32-bit wire values; windows are
+quantized exactly as the wire's scaled 16-bit field would carry them.
+Two sources produce it:
+
+* :meth:`TraceCapture.columns` — straight from the tap's buffers;
+* :func:`columns_from_pcap` — from a classic libpcap or pcapng file,
+  such as :meth:`TraceCapture.write_pcap` writes (real header
+  serialization: checksums, 32-bit sequence wrap, window scaling) or a
+  re-collected real trace.
+
+Both views are derived on demand and never stored on the capture.
+:class:`PacketRecord` objects are materialized from a view only for
+callers that want per-packet objects (:attr:`TraceCapture.records`,
+:func:`records_from_pcap`).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..tcp.constants import ACK as F_ACK
 from ..tcp.constants import FIN as F_FIN
@@ -126,6 +138,136 @@ def segment_to_frame(seg: TcpSegment) -> bytes:
     )
 
 
+FlowKey = Tuple[str, int, str, int]  # (src_ip, src_port, dst_ip, dst_port)
+
+
+class PacketColumns:
+    """One capture as time-ordered, wire-quantized columns.
+
+    Row ``i`` is the ``i``-th packet by timestamp, capture order breaking
+    ties.  Every column is a numpy array of one value per row:
+
+    * ``t`` — capture timestamp (float64 seconds);
+    * ``flow`` — index into ``flows``, the directed 4-tuples
+      ``(src_ip, src_port, dst_ip, dst_port)`` in order of appearance;
+    * ``seq``, ``ack`` — 32-bit wire values;
+    * ``flags``, ``plen`` (payload length), ``wire_len`` (frame bytes);
+    * ``window`` — the advertised window in bytes, quantized as the
+      wire's scaled 16-bit field.
+
+    ``payloads`` maps a row to its real payload bytes; it is sparse for
+    simulated captures, whose video bodies are virtual.
+    """
+
+    __slots__ = ("flows", "t", "flow", "seq", "ack", "flags", "plen",
+                 "window", "wire_len", "payloads")
+
+    def __init__(self, flows: List[FlowKey], t, flow, seq, ack, flags, plen,
+                 window, wire_len, payloads: Dict[int, bytes]) -> None:
+        self.flows = flows
+        self.t = np.asarray(t, dtype=np.float64)
+        self.flow = np.asarray(flow, dtype=np.int32)
+        self.seq = np.asarray(seq, dtype=np.int64)
+        self.ack = np.asarray(ack, dtype=np.int64)
+        self.flags = np.asarray(flags, dtype=np.int32)
+        self.plen = np.asarray(plen, dtype=np.int64)
+        self.window = np.asarray(window, dtype=np.int64)
+        self.wire_len = np.asarray(wire_len, dtype=np.int64)
+        self.payloads = payloads
+        if len(self.t) > 1 and bool((self.t[1:] < self.t[:-1]).any()):
+            self._sort()
+
+    def _sort(self) -> None:
+        """Reorder rows by timestamp; the stable sort keeps capture
+        order on ties."""
+        order = np.argsort(self.t, kind="stable")
+        for name in ("t", "flow", "seq", "ack", "flags", "plen", "window",
+                     "wire_len"):
+            setattr(self, name, getattr(self, name)[order])
+        if self.payloads:
+            row = np.empty_like(order)
+            row[order] = np.arange(len(order))
+            self.payloads = {int(row[i]): payload
+                             for i, payload in self.payloads.items()}
+
+    @classmethod
+    def from_records(cls, records: Iterable[PacketRecord]) -> "PacketColumns":
+        """The view of a :class:`PacketRecord` sequence (rows sorted by
+        timestamp, record order on ties)."""
+        flows: List[FlowKey] = []
+        index: Dict[FlowKey, int] = {}
+        columns: Tuple[List, ...] = ([], [], [], [], [], [], [], [])
+        t, flow, seq, ack, flags, plen, window, wire_len = columns
+        payloads: Dict[int, bytes] = {}
+        for i, r in enumerate(records):
+            key = (r.src_ip, r.src_port, r.dst_ip, r.dst_port)
+            fid = index.get(key)
+            if fid is None:
+                fid = index[key] = len(flows)
+                flows.append(key)
+            if r.payload is not None:
+                payloads[i] = r.payload
+            t.append(r.timestamp)
+            flow.append(fid)
+            seq.append(r.seq)
+            ack.append(r.ack)
+            flags.append(r.flags)
+            plen.append(r.payload_len)
+            window.append(r.window)
+            wire_len.append(r.wire_len)
+        return cls(flows, *columns, payloads)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def records(self) -> List[PacketRecord]:
+        """One :class:`PacketRecord` per row, in row order."""
+        table = self.flows
+        payload_get = self.payloads.get
+        # Bypass the dataclass __init__ (keyword processing dominates when
+        # materializing tens of thousands of records): build the instance
+        # dict directly.
+        new = PacketRecord.__new__
+        cls = PacketRecord
+        out = []
+        append = out.append
+        rows = zip(self.t.tolist(), self.flow.tolist(), self.seq.tolist(),
+                   self.ack.tolist(), self.flags.tolist(), self.plen.tolist(),
+                   self.window.tolist(), self.wire_len.tolist())
+        for i, (t, fid, seq, ack, flags, plen, window, wire_len) in \
+                enumerate(rows):
+            src_ip, src_port, dst_ip, dst_port = table[fid]
+            rec = new(cls)
+            rec.__dict__ = {
+                "timestamp": t,
+                "src_ip": src_ip,
+                "src_port": src_port,
+                "dst_ip": dst_ip,
+                "dst_port": dst_port,
+                "seq": seq,
+                "ack": ack,
+                "flags": flags,
+                "payload_len": plen,
+                "window": window,
+                "wire_len": wire_len,
+                "payload": payload_get(i),
+            }
+            append(rec)
+        return out
+
+
+#: What the analysis entry points accept: the columnar view, or records.
+PacketInput = Union[PacketColumns, Sequence[PacketRecord]]
+
+
+def as_columns(packets: PacketInput) -> PacketColumns:
+    """``packets`` as a :class:`PacketColumns` view; a record sequence is
+    converted once."""
+    if isinstance(packets, PacketColumns):
+        return packets
+    return PacketColumns.from_records(packets)
+
+
 class TraceCapture:
     """A sniffer recording per-segment fields into columnar buffers.
 
@@ -137,9 +279,10 @@ class TraceCapture:
     payloads (HTTP heads, container metadata) are kept in a sparse dict
     keyed by capture index; virtual video-body payloads store nothing.
 
-    :class:`PacketRecord` objects are materialized lazily, on each
-    :attr:`records` access, sorted by timestamp with capture order
-    breaking ties.
+    :meth:`columns` derives the analysis view from these buffers on
+    each call; :attr:`records` materializes :class:`PacketRecord`
+    objects from it.  Neither is stored: a capture pickles its whole
+    ``__dict__`` into worker IPC and the result cache.
     """
 
     def __init__(self, name: str = "capture", keep_payload: bool = True) -> None:
@@ -156,7 +299,6 @@ class TraceCapture:
         self._flow_table: List[Tuple[str, int, str, int]] = []
         self._flow_index: Dict[Tuple[str, int, str, int], int] = {}
         self._stopped = False
-        self._records_cache: Optional[List[PacketRecord]] = None
         # The tap runs once per captured packet; prebinding the column
         # append methods keeps it to one call per field.
         self._t_append = self._t.append
@@ -219,62 +361,34 @@ class TraceCapture:
         ts = self._t
         return sorted(range(len(ts)), key=ts.__getitem__)
 
+    def columns(self) -> PacketColumns:
+        """The capture as a :class:`PacketColumns` view (a new one on
+        each call): sequence and ack numbers wrapped to 32 bits, windows
+        quantized exactly as the wire's scaled 16-bit field would."""
+        flags = np.frombuffer(self._flags, dtype=np.int32)
+        plen = np.frombuffer(self._plen, dtype=np.int32)
+        raw = np.frombuffer(self._window, dtype=np.int64)
+        syn = (flags & F_SYN) != 0
+        window = np.where(
+            syn, np.minimum(raw, 0xFFFF),
+            np.minimum(raw >> WSCALE_SHIFT, 0xFFFF) << WSCALE_SHIFT)
+        # header_overhead() is a flags-only branch: SYNs carry options
+        wire_len = np.where(syn, header_overhead(F_SYN),
+                            header_overhead(0)) + plen
+        return PacketColumns(
+            list(self._flow_table),
+            np.frombuffer(self._t, dtype=np.float64).copy(),
+            np.frombuffer(self._flow, dtype=np.int32).copy(),
+            np.frombuffer(self._seq, dtype=np.int64) & 0xFFFFFFFF,
+            np.frombuffer(self._ack, dtype=np.int64) & 0xFFFFFFFF,
+            flags.copy(), plen.astype(np.int64), window, wire_len,
+            dict(self._payloads) if self.keep_payload else {})
+
     @property
     def records(self) -> List[PacketRecord]:
-        """All captured segments as analysis records, in capture order.
-
-        Materialized on first access and cached (keyed on the capture
-        length) so repeated analysis passes share one record list.
-        """
-        cached = self._records_cache
-        if cached is not None and len(cached) == len(self._t):
-            return cached
-        ts, flows = self._t, self._flow
-        seqs, acks = self._seq, self._ack
-        flagcol, plens, windows = self._flags, self._plen, self._window
-        table = self._flow_table
-        payloads = self._payloads if self.keep_payload else {}
-        payload_get = payloads.get
-        # Bypass the dataclass __init__ (keyword processing dominates when
-        # materializing tens of thousands of records): build the instance
-        # dict directly.  header_overhead() is a flags-only branch, so
-        # hoist both of its values out of the loop.
-        new = PacketRecord.__new__
-        cls = PacketRecord
-        overhead = header_overhead(0)
-        syn_overhead = header_overhead(F_SYN)
-        out = []
-        append = out.append
-        for i in self._order():
-            flags = flagcol[i]
-            window = windows[i]
-            # quantize exactly as the wire's scaled 16-bit field would
-            if flags & F_SYN:
-                window = min(window, 0xFFFF)
-                wire_len = syn_overhead
-            else:
-                window = min(window >> WSCALE_SHIFT, 0xFFFF) << WSCALE_SHIFT
-                wire_len = overhead
-            src_ip, src_port, dst_ip, dst_port = table[flows[i]]
-            plen = plens[i]
-            rec = new(cls)
-            rec.__dict__ = {
-                "timestamp": ts[i],
-                "src_ip": src_ip,
-                "src_port": src_port,
-                "dst_ip": dst_ip,
-                "dst_port": dst_port,
-                "seq": seqs[i] & 0xFFFFFFFF,
-                "ack": acks[i] & 0xFFFFFFFF,
-                "flags": flags,
-                "payload_len": plen,
-                "window": window,
-                "wire_len": wire_len + plen,
-                "payload": payload_get(i),
-            }
-            append(rec)
-        self._records_cache = out
-        return out
+        """All captured segments as analysis records, in the
+        :meth:`columns` row order (timestamp, capture order on ties)."""
+        return self.columns().records()
 
     def iter_segments(self):
         """Yield ``(timestamp, TcpSegment)`` in record order.
@@ -301,22 +415,28 @@ class TraceCapture:
             return writer.packets_written
 
 
-def records_from_pcap(path: str, *, verify_checksums: bool = True
-                      ) -> List[PacketRecord]:
-    """Parse a capture file into :class:`PacketRecord` objects.
+def columns_from_pcap(path: str, *, verify_checksums: bool = True
+                      ) -> PacketColumns:
+    """Parse a capture file into a :class:`PacketColumns` view.
 
     Both classic libpcap (tcpdump/windump) and pcapng (Wireshark/dumpcap)
     are accepted — the format is sniffed from the first block.  Window-
     scale shifts are learned from each direction's SYN, as any tcpdump-
     based analysis must.  Truncated (snaplen-limited) payloads are still
-    accounted at their original length.
+    accounted at their original length.  Rows are ordered by timestamp,
+    file order breaking ties, so a trace whose frames were written out of
+    time order reads as if they had not been.
     """
     from .pcapng import PcapngReader, is_pcapng
 
-    records: List[PacketRecord] = []
+    flows: List[FlowKey] = []
+    index: Dict[FlowKey, int] = {}
+    columns: Tuple[List, ...] = ([], [], [], [], [], [], [], [])
+    t, flow, seq, ack, flags, plen, window, wire_len = columns
+    payloads: Dict[int, bytes] = {}
     with open(path, "rb") as f:
         reader = PcapngReader(f) if is_pcapng(path) else PcapReader(f)
-        scales: Dict[Tuple[str, int, str, int], int] = {}
+        scales: Dict[FlowKey, int] = {}
         for timestamp, frame, orig_len in reader:
             _dst, _src, ethertype, ip_payload = ethernet.unpack(frame)
             if ethertype != ethernet.ETHERTYPE_IPV4:
@@ -335,24 +455,29 @@ def records_from_pcap(path: str, *, verify_checksums: bool = True
             if wire.flags & tcpwire.SYN:
                 scales[key] = wire.wscale or 0
             shift = scales.get(key, WSCALE_SHIFT)
+            fid = index.get(key)
+            if fid is None:
+                fid = index[key] = len(flows)
+                flows.append(key)
+            if not truncated:
+                payloads[len(t)] = wire.payload
             # payload length on the wire (before snaplen truncation):
             # orig_len - ethernet - ip header - tcp data offset
             tcp_header_len = len(tcp_bytes) - len(wire.payload)
-            payload_len = orig_len - ethernet.HEADER_LEN - ipv4.HEADER_LEN - tcp_header_len
-            records.append(
-                PacketRecord(
-                    timestamp=timestamp,
-                    src_ip=src_ip,
-                    src_port=wire.src_port,
-                    dst_ip=dst_ip,
-                    dst_port=wire.dst_port,
-                    seq=wire.seq,
-                    ack=wire.ack,
-                    flags=wire.flags,
-                    payload_len=payload_len,
-                    window=wire.scaled_window(shift),
-                    wire_len=orig_len,
-                    payload=wire.payload if not truncated else None,
-                )
-            )
-    return records
+            t.append(timestamp)
+            flow.append(fid)
+            seq.append(wire.seq)
+            ack.append(wire.ack)
+            flags.append(wire.flags)
+            plen.append(orig_len - ethernet.HEADER_LEN - ipv4.HEADER_LEN
+                        - tcp_header_len)
+            window.append(wire.scaled_window(shift))
+            wire_len.append(orig_len)
+    return PacketColumns(flows, *columns, payloads)
+
+
+def records_from_pcap(path: str, *, verify_checksums: bool = True
+                      ) -> List[PacketRecord]:
+    """Parse a capture file into :class:`PacketRecord` objects, in the
+    row order of :func:`columns_from_pcap`."""
+    return columns_from_pcap(path, verify_checksums=verify_checksums).records()

@@ -168,6 +168,7 @@ class PcapngWriter:
     def __init__(self, fileobj: BinaryIO, linktype: int = 1,
                  snaplen: int = 65535) -> None:
         self._file = fileobj
+        self.snaplen = snaplen
         self.packets_written = 0
         # SHB: type, length, magic, version 1.0, section length -1, trailer
         shb = struct.pack("<IIIHHq", SHB_TYPE, 28, BYTE_ORDER_MAGIC, 1, 0, -1)
@@ -177,14 +178,17 @@ class PcapngWriter:
         self._file.write(idb + struct.pack("<I", 20))
 
     def write_packet(self, timestamp: float, frame: bytes) -> None:
+        """Append one frame, truncated to ``snaplen`` like tcpdump ``-s``
+        (the block keeps the original length)."""
         ticks = int(round(timestamp * 1e6))
-        captured = len(frame)
+        data = frame[:self.snaplen]
+        captured = len(data)
         pad = -captured % 4
         total = 32 + captured + pad
         self._file.write(struct.pack(
             "<IIIIIII", EPB_TYPE, total, 0,
             (ticks >> 32) & 0xFFFFFFFF, ticks & 0xFFFFFFFF,
-            captured, captured))
-        self._file.write(frame + b"\x00" * pad)
+            captured, len(frame)))
+        self._file.write(data + b"\x00" * pad)
         self._file.write(struct.pack("<I", total))
         self.packets_written += 1

@@ -112,11 +112,11 @@ class SessionResult:
 
     @property
     def records(self) -> List[PacketRecord]:
-        """Captured packets as analysis records.
+        """Captured packets as :class:`PacketRecord` objects.
 
-        Materialized lazily from the capture's columnar buffers (and
-        cached there): sessions whose results are consumed through the
-        columnar paths never pay for per-packet record objects.
+        Materialized from the capture's columnar view on each access;
+        the analysis reads ``capture.columns()`` instead and never pays
+        for per-packet objects.
         """
         return self.capture.records
 

@@ -1,11 +1,15 @@
 """Unit tests for flow reconstruction from synthetic packet records."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     AckClockSample,
+    FlowData,
     ackclock_samples,
     build_download_trace,
+    detect_onoff,
     estimate_encoding_rate,
     estimate_session_rate,
     first_rtt_bytes,
@@ -251,3 +255,58 @@ class TestAckClock:
         samples = first_rtt_bytes(trace.main_flow())
         assert all(isinstance(s, AckClockSample) for s in samples)
         assert all(s.rtt == pytest.approx(0.02) for s in samples)
+
+
+# -- first_rtt_bytes against the per-period scan it replaced ------------------
+
+#: Dyadic steps keep every sum exact, so ``start + rtt`` lands exactly on
+#: later event times and both window ends see ties.
+_GAPS = st.sampled_from([0.0, 0.0, 1 / 64, 1 / 32, 3 / 64, 0.25, 0.5, 1.0])
+_RTTS = st.sampled_from([0.0, 1 / 64, 1 / 32, 3 / 64, 0.25, 0.5])
+
+
+def _scan_first_rtt_bytes(flow, *, rtt, gap_threshold, min_on_bytes,
+                          skip_first):
+    """The O(periods x events) reference: sum every event of the flow
+    once per ON period."""
+    effective_rtt = rtt if rtt is not None else flow.handshake_rtt
+    if effective_rtt is None or not flow.event_times:
+        return []
+    onoff = detect_onoff(flow.event_times, flow.event_advances,
+                         gap_threshold=gap_threshold,
+                         min_on_bytes=min_on_bytes)
+    periods = onoff.on_periods[1:] if skip_first else onoff.on_periods
+    events = list(zip(flow.event_times, flow.event_advances))
+    return [
+        AckClockSample(
+            period.start,
+            sum(advance for t, advance in events
+                if period.start <= t <= period.start + effective_rtt),
+            effective_rtt)
+        for period in periods
+    ]
+
+
+class TestFirstRttBytesDifferential:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(gaps=st.lists(_GAPS, max_size=60),
+           advances=st.lists(st.sampled_from([0, 0, 1, 1460, 5000]),
+                             min_size=60, max_size=60),
+           rtt=st.one_of(st.none(), _RTTS),
+           handshake_rtt=st.one_of(st.none(), _RTTS),
+           min_on_bytes=st.sampled_from([0, 1, 4096]),
+           skip_first=st.booleans())
+    def test_matches_per_period_scan(self, gaps, advances, rtt,
+                                     handshake_rtt, min_on_bytes,
+                                     skip_first):
+        flow = FlowData(key=(SERVER, 80, CLIENT, 50000))
+        flow.handshake_rtt = handshake_rtt
+        t = 1.0
+        for gap, advance in zip(gaps, advances):
+            t += gap
+            flow.event_times.append(t)
+            flow.event_advances.append(advance)
+        kwargs = dict(rtt=rtt, gap_threshold=0.15,
+                      min_on_bytes=min_on_bytes, skip_first=skip_first)
+        assert first_rtt_bytes(flow, **kwargs) == \
+            _scan_first_rtt_bytes(flow, **kwargs)

@@ -47,20 +47,32 @@ def onoff_trace(block, period, count, t0=0.0, buffering=5 * MB, rate_bps=40e6):
     return events
 
 
+
+def detect(events, **kwargs):
+    """detect_onoff over the columns of ``(time, advance)`` pairs."""
+    return detect_onoff([t for t, _ in events], [a for _, a in events],
+                        **kwargs)
+
+
+def rate_knee(events):
+    """split_phases_rate_knee over the columns of ``(time, advance)`` pairs."""
+    return split_phases_rate_knee([t for t, _ in events],
+                                  [a for _, a in events])
+
 class TestDetectOnOff:
     def test_empty_events(self):
-        profile = detect_onoff([])
+        profile = detect([])
         assert profile.on_periods == []
         assert not profile.has_off_periods
 
     def test_single_burst_no_off(self):
-        profile = detect_onoff(burst(0.0, 1 * MB))
+        profile = detect(burst(0.0, 1 * MB))
         assert len(profile.on_periods) == 1
         assert not profile.has_off_periods
 
     def test_short_cycles_detected(self):
         events = onoff_trace(64 * KB, 0.5, count=10)
-        profile = detect_onoff(events)
+        profile = detect(events)
         assert len(profile.on_periods) == 11  # buffering + 10 blocks
         assert len(profile.off_periods) == 10
         blocks = profile.block_sizes()
@@ -68,7 +80,7 @@ class TestDetectOnOff:
 
     def test_gap_below_threshold_merges(self):
         events = burst(0.0, 64 * KB) + burst(0.1, 64 * KB)
-        profile = detect_onoff(events, gap_threshold=0.15)
+        profile = detect(events, gap_threshold=0.15)
         assert len(profile.on_periods) == 1
         assert profile.on_periods[0].bytes == 128 * KB
 
@@ -78,7 +90,7 @@ class TestDetectOnOff:
         events.append((3.0, 1))    # probe
         events.append((4.5, 1))    # probe
         events.extend(burst(6.0, 5 * MB))
-        profile = detect_onoff(events)
+        profile = detect(events)
         assert len(profile.on_periods) == 2
         assert len(profile.off_periods) == 1
         # 5 MB at 40 Mbps ends at ~1.05 s; the OFF spans from there to 6 s
@@ -89,37 +101,37 @@ class TestDetectOnOff:
         events = burst(0.0, 64 * KB)
         events.append((0.3, 0))  # retransmission in the gap
         events.extend(burst(0.6, 64 * KB))
-        profile = detect_onoff(events, gap_threshold=0.4)
+        profile = detect(events, gap_threshold=0.4)
         assert len(profile.on_periods) == 1
         assert profile.on_periods[0].bytes == 128 * KB
 
     def test_block_sizes_skip_first_by_default(self):
         events = onoff_trace(64 * KB, 0.5, count=3, buffering=5 * MB)
-        profile = detect_onoff(events)
+        profile = detect(events)
         assert len(profile.block_sizes()) == 3
         assert len(profile.block_sizes(skip_first=False)) == 4
 
     def test_off_durations(self):
         events = onoff_trace(64 * KB, 0.5, count=4)
-        profile = detect_onoff(events)
+        profile = detect(events)
         for duration in profile.off_durations():
             assert 0.3 < duration <= 0.51
 
     def test_trailing_idle_within_stream(self):
         events = burst(0.0, 1 * MB)
-        profile = detect_onoff(events, stream_end=10.0)
+        profile = detect(events, stream_end=10.0)
         assert profile.has_off_periods
         assert profile.off_periods[-1].end == 10.0
 
     def test_mean_cycle_duration(self):
         events = onoff_trace(64 * KB, 0.5, count=10)
-        profile = detect_onoff(events)
+        profile = detect(events)
         assert profile.mean_cycle_duration() == pytest.approx(0.5, rel=0.1)
 
 
 class TestSplitPhases:
     def test_no_off_means_no_steady_state(self):
-        profile = detect_onoff(burst(0.0, 10 * MB))
+        profile = detect(burst(0.0, 10 * MB))
         phases = split_phases(profile)
         assert not phases.has_steady_state
         assert phases.buffering_bytes == 10 * MB
@@ -127,7 +139,7 @@ class TestSplitPhases:
 
     def test_buffering_ends_at_first_off(self):
         events = onoff_trace(64 * KB, 0.5, count=20, buffering=5 * MB)
-        profile = detect_onoff(events)
+        profile = detect(events)
         phases = split_phases(profile, stream_end=events[-1][0])
         assert phases.has_steady_state
         assert phases.buffering_bytes == 5 * MB
@@ -136,59 +148,59 @@ class TestSplitPhases:
     def test_steady_rate_and_accumulation(self):
         # 64 kB every 0.5 s = 1.048 Mbps steady rate
         events = onoff_trace(64 * KB, 0.5, count=40, buffering=5 * MB)
-        profile = detect_onoff(events)
+        profile = detect(events)
         phases = split_phases(profile, stream_end=events[-1][0])
         assert phases.steady_rate_bps == pytest.approx(64 * KB * 8 / 0.5, rel=0.1)
         k = phases.accumulation_ratio(64 * KB * 8 / 0.5 / 1.25)
         assert k == pytest.approx(1.25, rel=0.1)
 
     def test_accumulation_none_without_steady_state(self):
-        profile = detect_onoff(burst(0.0, 1 * MB))
+        profile = detect(burst(0.0, 1 * MB))
         phases = split_phases(profile)
         assert phases.accumulation_ratio(1e6) is None
 
     def test_buffering_playback_seconds(self):
         events = onoff_trace(64 * KB, 0.5, count=5, buffering=5 * MB)
-        profile = detect_onoff(events)
+        profile = detect(events)
         phases = split_phases(profile, stream_end=events[-1][0])
         assert phases.buffering_playback_seconds(1e6) == pytest.approx(
             5 * MB * 8 / 1e6)
 
     def test_rate_knee_detector_finds_slowdown(self):
         events = onoff_trace(64 * KB, 1.0, count=30, buffering=20 * MB)
-        knee = split_phases_rate_knee(events)
+        knee = rate_knee(events)
         assert knee is not None
         # buffering at 40 Mbps takes ~4.2 s; the knee should be close
         assert 2.0 < knee < 10.0
 
     def test_rate_knee_none_for_constant_rate(self):
         events = burst(0.0, 40 * MB)  # constant full-rate transfer
-        assert split_phases_rate_knee(events) is None
+        assert rate_knee(events) is None
 
 
 class TestClassify:
     def test_bulk_is_no_onoff(self):
-        profile = detect_onoff(burst(0.0, 30 * MB))
+        profile = detect(burst(0.0, 30 * MB))
         assert classify_onoff(profile).strategy is StreamingStrategy.NO_ONOFF
 
     def test_small_blocks_are_short(self):
         events = onoff_trace(64 * KB, 0.5, count=10)
-        got = classify_onoff(detect_onoff(events))
+        got = classify_onoff(detect(events))
         assert got.strategy is StreamingStrategy.SHORT_ONOFF
         assert got.long_byte_share == 0.0
 
     def test_large_blocks_are_long(self):
         events = onoff_trace(5 * MB, 20.0, count=5)
-        got = classify_onoff(detect_onoff(events))
+        got = classify_onoff(detect(events))
         assert got.strategy is StreamingStrategy.LONG_ONOFF
         assert got.long_byte_share == 1.0
 
     def test_boundary_at_2_5_mb(self):
         just_below = onoff_trace(int(2.4 * MB), 10.0, count=5)
         just_above = onoff_trace(int(2.6 * MB), 10.0, count=5)
-        assert (classify_onoff(detect_onoff(just_below)).strategy
+        assert (classify_onoff(detect(just_below)).strategy
                 is StreamingStrategy.SHORT_ONOFF)
-        assert (classify_onoff(detect_onoff(just_above)).strategy
+        assert (classify_onoff(detect(just_above)).strategy
                 is StreamingStrategy.LONG_ONOFF)
 
     def test_mixed_blocks_are_multiple(self):
@@ -200,7 +212,7 @@ class TestClassify:
             size = 4 * MB if i < 3 else 2 * MB
             events.extend(burst(t, size))
             t += 10.0
-        got = classify_onoff(detect_onoff(events))
+        got = classify_onoff(detect(events))
         assert 0.2 < got.long_byte_share < 0.8
         assert got.strategy is StreamingStrategy.MIXED
 

@@ -275,16 +275,22 @@ class TestColumnarCapture:
                     for i, s in enumerate(segs)]
         assert cap.records == expected
 
-    def test_records_are_cached_until_new_packets_arrive(self):
+    def test_views_are_derived_never_stored(self):
+        """``columns()``/``records`` are derived per call: they see every
+        packet tapped so far and add nothing to the pickled capture."""
+        import pickle
+
         from repro.pcap.capture import TraceCapture
         cap = TraceCapture(name="t")
         cap.tap(0.0, self._seg(0))
+        pickled = len(pickle.dumps(cap))
         first = cap.records
-        assert cap.records is first          # cached
+        assert len(cap.columns()) == len(first) == 1
+        assert len(pickle.dumps(cap)) == pickled
         cap.tap(1.0, self._seg(1))
         second = cap.records
-        assert second is not first           # invalidated by new packet
         assert len(second) == 2
+        assert second[0] == first[0]
 
     def test_real_payloads_are_sparse(self):
         from repro.pcap.capture import TraceCapture
