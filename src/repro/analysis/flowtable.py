@@ -105,11 +105,12 @@ class FlowData(_EventColumns):
     def on_data_packets(self, times: np.ndarray, seqs: np.ndarray,
                         plens: np.ndarray,
                         payloads: Dict[int, bytes]) -> np.ndarray:
-        """Account the flow's downstream data packets, given as columns
-        in time order; returns each packet's unique-byte advance.
+        """Account all of the flow's downstream data packets, given as
+        columns in time order; returns each packet's unique-byte advance.
 
-        ``seqs`` are 32-bit wire values; ``payloads`` maps a position in
-        the columns to that packet's real payload bytes.
+        Called once per flow.  ``seqs`` are 32-bit wire values;
+        ``payloads`` maps a position in the columns to that packet's real
+        payload bytes.
         """
         # unwrap: each step is the signed distance on the 32-bit circle
         # from the previous packet's sequence number (seq_diff)
@@ -118,20 +119,20 @@ class FlowData(_EventColumns):
         rel = np.zeros(len(seqs), dtype=np.int64)
         np.cumsum(step, out=rel[1:])
         end = rel + plens
-        # highest end-sequence seen before each packet (0 before any)
+        # highest end-sequence seen before each packet (0 before any; the
+        # first packet ends above 0, so the running maximum stays >= 0)
         seen = np.zeros(len(seqs), dtype=np.int64)
         np.maximum.accumulate(end[:-1], out=seen[1:])
-        np.maximum(seen, 0, out=seen)
         advance = np.maximum(end - seen, 0)
         # client-side retransmission detection by sequence regression (what
         # tstat-style tools do): a data packet starting below the highest
         # sequence already seen is a retransmission — either a duplicate or
         # a late hole-filler whose original was lost upstream of the capture
-        self.retransmitted_bytes += int(plens[rel < seen].sum())
+        self.retransmitted_bytes = int(plens[rel < seen].sum())
         self.base_seq = int(seqs[0])
         self.max_seq_seen = max(int(seen[-1]), int(end[-1]))
-        self.unique_bytes += int(advance.sum())
-        self.total_payload_bytes += int(plens.sum())
+        self.unique_bytes = int(advance.sum())
+        self.total_payload_bytes = int(plens.sum())
         self.first_data_time = float(times[0])
         self.last_data_time = float(times[-1])
         self.event_times.frombytes(times.tobytes())

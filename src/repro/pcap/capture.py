@@ -194,28 +194,12 @@ class PacketColumns:
     def from_records(cls, records: Iterable[PacketRecord]) -> "PacketColumns":
         """The view of a :class:`PacketRecord` sequence (rows sorted by
         timestamp, record order on ties)."""
-        flows: List[FlowKey] = []
-        index: Dict[FlowKey, int] = {}
-        columns: Tuple[List, ...] = ([], [], [], [], [], [], [], [])
-        t, flow, seq, ack, flags, plen, window, wire_len = columns
-        payloads: Dict[int, bytes] = {}
-        for i, r in enumerate(records):
-            key = (r.src_ip, r.src_port, r.dst_ip, r.dst_port)
-            fid = index.get(key)
-            if fid is None:
-                fid = index[key] = len(flows)
-                flows.append(key)
-            if r.payload is not None:
-                payloads[i] = r.payload
-            t.append(r.timestamp)
-            flow.append(fid)
-            seq.append(r.seq)
-            ack.append(r.ack)
-            flags.append(r.flags)
-            plen.append(r.payload_len)
-            window.append(r.window)
-            wire_len.append(r.wire_len)
-        return cls(flows, *columns, payloads)
+        rows = _Rows()
+        for r in records:
+            rows.add((r.src_ip, r.src_port, r.dst_ip, r.dst_port),
+                     r.timestamp, r.seq, r.ack, r.flags, r.payload_len,
+                     r.window, r.wire_len, r.payload)
+        return rows.view()
 
     def __len__(self) -> int:
         return len(self.t)
@@ -254,6 +238,40 @@ class PacketColumns:
             }
             append(rec)
         return out
+
+
+class _Rows:
+    """Packets collected in input order, for one :class:`PacketColumns`
+    view (which sorts them)."""
+
+    def __init__(self) -> None:
+        self.flows: List[FlowKey] = []
+        self._index: Dict[FlowKey, int] = {}
+        self.columns: Tuple[List, ...] = ([], [], [], [], [], [], [], [])
+        self.payloads: Dict[int, bytes] = {}
+
+    def add(self, key: FlowKey, t: float, seq: int, ack: int, flags: int,
+            plen: int, window: int, wire_len: int,
+            payload: Optional[bytes]) -> None:
+        fid = self._index.get(key)
+        if fid is None:
+            fid = self._index[key] = len(self.flows)
+            self.flows.append(key)
+        ts, fids, seqs, acks, flagcol, plens, windows, wire_lens = \
+            self.columns
+        if payload is not None:
+            self.payloads[len(ts)] = payload
+        ts.append(t)
+        fids.append(fid)
+        seqs.append(seq)
+        acks.append(ack)
+        flagcol.append(flags)
+        plens.append(plen)
+        windows.append(window)
+        wire_lens.append(wire_len)
+
+    def view(self) -> PacketColumns:
+        return PacketColumns(self.flows, *self.columns, self.payloads)
 
 
 #: What the analysis entry points accept: the columnar view, or records.
@@ -429,11 +447,7 @@ def columns_from_pcap(path: str, *, verify_checksums: bool = True
     """
     from .pcapng import PcapngReader, is_pcapng
 
-    flows: List[FlowKey] = []
-    index: Dict[FlowKey, int] = {}
-    columns: Tuple[List, ...] = ([], [], [], [], [], [], [], [])
-    t, flow, seq, ack, flags, plen, window, wire_len = columns
-    payloads: Dict[int, bytes] = {}
+    rows = _Rows()
     with open(path, "rb") as f:
         reader = PcapngReader(f) if is_pcapng(path) else PcapReader(f)
         scales: Dict[FlowKey, int] = {}
@@ -455,25 +469,14 @@ def columns_from_pcap(path: str, *, verify_checksums: bool = True
             if wire.flags & tcpwire.SYN:
                 scales[key] = wire.wscale or 0
             shift = scales.get(key, WSCALE_SHIFT)
-            fid = index.get(key)
-            if fid is None:
-                fid = index[key] = len(flows)
-                flows.append(key)
-            if not truncated:
-                payloads[len(t)] = wire.payload
             # payload length on the wire (before snaplen truncation):
             # orig_len - ethernet - ip header - tcp data offset
             tcp_header_len = len(tcp_bytes) - len(wire.payload)
-            t.append(timestamp)
-            flow.append(fid)
-            seq.append(wire.seq)
-            ack.append(wire.ack)
-            flags.append(wire.flags)
-            plen.append(orig_len - ethernet.HEADER_LEN - ipv4.HEADER_LEN
-                        - tcp_header_len)
-            window.append(wire.scaled_window(shift))
-            wire_len.append(orig_len)
-    return PacketColumns(flows, *columns, payloads)
+            payload_len = orig_len - ethernet.HEADER_LEN - ipv4.HEADER_LEN - tcp_header_len
+            rows.add(key, timestamp, wire.seq, wire.ack, wire.flags,
+                     payload_len, wire.scaled_window(shift), orig_len,
+                     wire.payload if not truncated else None)
+    return rows.view()
 
 
 def records_from_pcap(path: str, *, verify_checksums: bool = True

@@ -17,7 +17,7 @@ from repro.analysis import (
 from repro.http import build_flv_header, build_webm_header
 from repro.pcap import PacketRecord
 from repro.tcp import ACK, PSH, SYN
-from repro.tcp.seqspace import wrap
+from repro.tcp.seqspace import SequenceUnwrapper, wrap
 
 CLIENT = "10.0.0.1"
 SERVER = "192.0.2.1"
@@ -310,3 +310,123 @@ class TestFirstRttBytesDifferential:
                       min_on_bytes=min_on_bytes, skip_first=skip_first)
         assert first_rtt_bytes(flow, **kwargs) == \
             _scan_first_rtt_bytes(flow, **kwargs)
+
+
+# -- build_download_trace against the per-record loop it replaced ------------
+
+def _loop_trace(records, client_ip, server_ip):
+    """The reference: the per-record flow-table loop, over time-ordered
+    records.  Returns per-flow state dicts (in table order), the
+    aggregate events and the window samples."""
+    flows, events, windows = {}, [], []
+    for r in records:
+        down = r.src_ip == server_ip and r.dst_ip == client_ip
+        if down:
+            key = (r.src_ip, r.src_port, r.dst_ip, r.dst_port)
+        elif r.src_ip == client_ip and r.dst_ip == server_ip:
+            key = (r.dst_ip, r.dst_port, r.src_ip, r.src_port)
+        else:
+            continue
+        f = flows.setdefault(key, dict(
+            syn=None, synack=None, rtt=None, unwrapper=SequenceUnwrapper(),
+            base=None, max_seen=0, unique=0, total=0, retx=0,
+            head=bytearray(), expect=0, events=[]))
+        if r.flags & SYN:
+            if not down and f["syn"] is None:
+                f["syn"] = r.timestamp
+            elif down and f["synack"] is None:
+                f["synack"] = r.timestamp
+                if f["syn"] is not None:
+                    f["rtt"] = f["synack"] - f["syn"]
+            continue
+        if down and r.payload_len > 0:
+            seq = f["unwrapper"].unwrap(r.seq)
+            if f["base"] is None:
+                f["base"] = seq
+            rel = seq - f["base"]
+            end = rel + r.payload_len
+            advance = max(end - f["max_seen"], 0)
+            if rel < f["max_seen"]:
+                f["retx"] += r.payload_len
+            if (r.payload is not None and rel == f["expect"]
+                    and len(f["head"]) < FlowData.HEAD_CAPTURE_LIMIT):
+                f["head"].extend(r.payload)
+                f["expect"] = rel + r.payload_len
+            f["max_seen"] = max(f["max_seen"], end)
+            f["unique"] += advance
+            f["total"] += r.payload_len
+            f["events"].append((r.timestamp, advance))
+            events.append((r.timestamp, advance))
+        elif not down and r.flags & ACK:
+            windows.append((r.timestamp, float(r.window)))
+    return flows, events, windows
+
+
+@st.composite
+def _packet_streams(draw):
+    """Time-ordered records over a few connections (plus unrelated
+    traffic): wrapping sequence numbers, retransmissions and reordering,
+    SYNs in either order, sparse real payloads."""
+    bases = draw(st.lists(st.one_of(st.integers(0, (1 << 32) - 1),
+                                    st.integers((1 << 32) - 5000,
+                                                (1 << 32) - 1)),
+                          min_size=3, max_size=3))
+    steps = draw(st.lists(st.tuples(
+        st.integers(0, 3),                          # connection; 3: other
+        st.sampled_from(["data", "data", "data", "ack", "syn", "synack"]),
+        st.integers(-3, 4),                         # segment offset step
+        st.sampled_from([1, 100, 1460]),
+        st.sampled_from([0.0, 0.0, 0.001, 0.2]),    # time gap
+        st.booleans()),                             # real payload
+        max_size=80))
+    records, t, cursor = [], 0.0, [0, 0, 0, 0]
+    for conn, kind, step, length, gap, real in steps:
+        t += gap
+        dport = 50000 + conn
+        server = SERVER if conn < 3 else "198.51.100.7"
+        if kind == "syn":
+            records.append(rec(t, src=CLIENT, sport=dport, dst=server,
+                               dport=80, flags=SYN))
+        elif kind == "synack":
+            records.append(rec(t, src=server, dport=dport, flags=SYN | ACK,
+                               payload_len=length if real else 0))
+        elif kind == "ack":
+            records.append(rec(t, src=CLIENT, sport=dport, dst=server,
+                               dport=80, flags=ACK, window=length * 640))
+        else:
+            cursor[conn] = max(0, cursor[conn] + step)
+            seq = bases[conn % 3] + cursor[conn] * 1460
+            records.append(rec(
+                t, src=server, dport=dport, seq=seq, flags=ACK | PSH,
+                payload_len=length,
+                payload=bytes([conn]) * length if real else None))
+    # hand them over out of time order: the view sorts the rows, while
+    # its flow table keeps the order of first appearance in the input
+    return draw(st.permutations(records))
+
+
+class TestBuildDownloadTraceDifferential:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(shuffled=_packet_streams())
+    def test_matches_per_record_loop(self, shuffled):
+        trace = build_download_trace(shuffled, CLIENT, SERVER)
+        records = sorted(shuffled, key=lambda r: r.timestamp)
+        flows, events, windows = _loop_trace(records, CLIENT, SERVER)
+        assert list(trace.flows) == list(flows)
+        for key, want in flows.items():
+            got = trace.flows[key]
+            assert list(zip(got.event_times, got.event_advances)) \
+                == want["events"]
+            assert (got.unique_bytes, got.total_payload_bytes,
+                    got.retransmitted_bytes) == (want["unique"],
+                                                 want["total"], want["retx"])
+            assert bytes(got.head_bytes) == bytes(want["head"])
+            assert (got.syn_time, got.synack_time, got.handshake_rtt) == (
+                want["syn"], want["synack"], want["rtt"])
+            assert got.max_seq_seen == want["max_seen"]
+            assert got.base_seq == want["base"]
+        assert list(zip(trace.event_times, trace.event_advances)) == events
+        assert list(trace.window_series) == windows
+        if records:
+            assert (trace.capture_start, trace.capture_end) == (
+                records[0].timestamp, records[-1].timestamp)

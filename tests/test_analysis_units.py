@@ -1,11 +1,14 @@
 """Unit tests for the analysis pipeline pieces (synthetic inputs)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
     Cdf,
+    OffPeriod,
+    OnOffProfile,
+    OnPeriod,
     classify_onoff,
     correlation,
     detect_onoff,
@@ -127,6 +130,51 @@ class TestDetectOnOff:
         events = onoff_trace(64 * KB, 0.5, count=10)
         profile = detect(events)
         assert profile.mean_cycle_duration() == pytest.approx(0.5, rel=0.1)
+
+
+def _loop_onoff(events, *, gap_threshold, min_on_bytes, stream_end):
+    """The reference: the per-event grouping loop the vectorized split
+    replaced, over ``(time, advance)`` pairs."""
+    if not events:
+        return OnOffProfile([], [], gap_threshold)
+    groups = []
+    start, end, moved = events[0][0], events[0][0], events[0][1]
+    for t, advance in events[1:]:
+        if t - end > gap_threshold:
+            groups.append((start, end, moved))
+            start, moved = t, 0
+        end = t
+        moved += advance
+    groups.append((start, end, moved))
+    significant = ([g for g in groups if g[2] >= min_on_bytes]
+                   or [max(groups, key=lambda g: g[2])])
+    on = [OnPeriod(s, e, b) for s, e, b in significant]
+    off = [OffPeriod(a.end, b.start) for a, b in zip(on, on[1:])]
+    if stream_end is not None and stream_end - on[-1].end > gap_threshold:
+        off.append(OffPeriod(on[-1].end, stream_end))
+    return OnOffProfile(on, off, gap_threshold)
+
+
+class TestDetectOnOffDifferential:
+    #: Dyadic gaps hit every threshold exactly, so ``>`` is exercised.
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(gaps=st.lists(st.sampled_from([0.0, 1 / 64, 0.125, 0.25, 0.5,
+                                          2.0]), max_size=60),
+           advances=st.lists(st.sampled_from([0, 0, 1, 1460, 4096]),
+                             min_size=60, max_size=60),
+           gap_threshold=st.sampled_from([0.125, 0.25, 0.5]),
+           min_on_bytes=st.sampled_from([0, 1, 4096, 10_000]),
+           tail=st.one_of(st.none(), st.sampled_from([0.0, 0.125, 1.0])))
+    def test_matches_per_event_loop(self, gaps, advances, gap_threshold,
+                                    min_on_bytes, tail):
+        events, t = [], 0.0
+        for gap, advance in zip(gaps, advances):
+            t += gap
+            events.append((t, advance))
+        stream_end = None if tail is None or not events else t + tail
+        kwargs = dict(gap_threshold=gap_threshold,
+                      min_on_bytes=min_on_bytes, stream_end=stream_end)
+        assert detect(events, **kwargs) == _loop_onoff(events, **kwargs)
 
 
 class TestSplitPhases:
