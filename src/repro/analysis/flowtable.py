@@ -33,17 +33,15 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..pcap.capture import PacketInput, as_columns
+from ..pcap.capture import FlowKey, PacketInput, as_columns
 from ..simnet.monitor import TimeSeries
 from ..tcp.constants import ACK as F_ACK
 from ..tcp.constants import SYN as F_SYN
 from ..tcp.seqspace import HALF_MOD, SEQ_MOD
-
-FlowKey = Tuple[str, int, str, int]  # (src_ip, src_port, dst_ip, dst_port)
 
 #: Direction codes of a view's flow ids, relative to (client, server).
 _OTHER, _DOWN, _UP = 0, 1, 2
