@@ -174,7 +174,7 @@ class PacketColumns:
         self.window = np.asarray(window, dtype=np.int64)
         self.wire_len = np.asarray(wire_len, dtype=np.int64)
         self.payloads = payloads
-        if len(self.t) > 1 and bool((self.t[1:] < self.t[:-1]).any()):
+        if len(self.t) > 1 and (self.t[1:] < self.t[:-1]).any():
             self._sort()
 
     def _sort(self) -> None:
