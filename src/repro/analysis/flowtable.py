@@ -244,6 +244,32 @@ class DownloadTrace(_EventColumns):
         return self.total_bytes * 8 / (last - first)
 
 
+def _payloads_by_flow(payloads: Dict[int, bytes], data_rows: np.ndarray,
+                      data_fids: np.ndarray, by_flow: np.ndarray,
+                      bounds: np.ndarray) -> Dict[int, Dict[int, bytes]]:
+    """The real payloads of the data rows, as ``{flow id: {position in
+    the flow's data rows: payload}}``, in one pass over the payloads.
+
+    ``by_flow`` orders ``data_rows`` by flow (stably) and ``bounds`` are
+    the starts of its groups after the first.
+    """
+    if not payloads or not len(data_rows):
+        return {}
+    # each data row's position within its flow's group
+    starts = np.concatenate(([0], bounds))
+    sizes = np.diff(np.append(starts, len(by_flow)))
+    pos = np.empty(len(by_flow), dtype=np.int64)
+    pos[by_flow] = np.arange(len(by_flow)) - np.repeat(starts, sizes)
+    held_rows = np.array(sorted(payloads), dtype=np.int64)
+    at = np.searchsorted(data_rows, held_rows).clip(max=len(data_rows) - 1)
+    at = at[data_rows[at] == held_rows]
+    held: Dict[int, Dict[int, bytes]] = {}
+    for fid, p, row in zip(data_fids[at].tolist(), pos[at].tolist(),
+                           data_rows[at].tolist()):
+        held.setdefault(fid, {})[p] = payloads[row]
+    return held
+
+
 def build_download_trace(
     packets: PacketInput,
     client_ip: str,
@@ -312,18 +338,13 @@ def build_download_trace(
     bounds = np.flatnonzero(np.diff(data_fids[by_flow])) + 1
     groups = np.split(by_flow, bounds) if len(by_flow) else []
     advances = np.empty(len(data_rows), dtype=np.int64)
-    payloads = cols.payloads
-    held_rows = np.array(sorted(payloads), dtype=np.int64)
+    held = _payloads_by_flow(cols.payloads, data_rows, data_fids, by_flow,
+                             bounds)
     for group in groups:
         rows = data_rows[group]
-        flow = flows[keys[int(cols.flow[rows[0]])]]
-        # this flow's rows that carry real payload bytes
-        at = np.searchsorted(rows, held_rows).clip(max=len(rows) - 1)
-        mine = rows[at] == held_rows
-        held = {pos: payloads[row] for pos, row in
-                zip(at[mine].tolist(), held_rows[mine].tolist())}
-        advances[group] = flow.on_data_packets(
-            cols.t[rows], cols.seq[rows], cols.plen[rows], held)
+        fid = int(cols.flow[rows[0]])
+        advances[group] = flows[keys[fid]].on_data_packets(
+            cols.t[rows], cols.seq[rows], cols.plen[rows], held.get(fid, {}))
     trace.event_times.frombytes(cols.t[data_rows].tobytes())
     trace.event_advances.frombytes(advances.tobytes())
 

@@ -141,6 +141,12 @@ def segment_to_frame(seg: TcpSegment) -> bytes:
 FlowKey = Tuple[str, int, str, int]  # (src_ip, src_port, dst_ip, dst_port)
 
 
+def time_order(t: np.ndarray) -> np.ndarray:
+    """The row order of a capture: indices sorted by timestamp, capture
+    order breaking ties (a stable sort)."""
+    return np.argsort(t, kind="stable")
+
+
 class PacketColumns:
     """One capture as time-ordered, wire-quantized columns.
 
@@ -178,9 +184,8 @@ class PacketColumns:
             self._sort()
 
     def _sort(self) -> None:
-        """Reorder rows by timestamp; the stable sort keeps capture
-        order on ties."""
-        order = np.argsort(self.t, kind="stable")
+        """Reorder rows into :func:`time_order`."""
+        order = time_order(self.t)
         for name in ("t", "flow", "seq", "ack", "flags", "plen", "window",
                      "wire_len"):
             setattr(self, name, getattr(self, name)[order])
@@ -374,11 +379,6 @@ class TraceCapture:
     def __len__(self) -> int:
         return len(self._t)
 
-    def _order(self) -> List[int]:
-        """Capture indices sorted by timestamp, capture order on ties."""
-        ts = self._t
-        return sorted(range(len(ts)), key=ts.__getitem__)
-
     def columns(self) -> PacketColumns:
         """The capture as a :class:`PacketColumns` view (a new one on
         each call): sequence and ack numbers wrapped to 32 bits, windows
@@ -415,7 +415,8 @@ class TraceCapture:
         not retained); pcap writers use this to serialize real frames.
         """
         table = self._flow_table
-        for i in self._order():
+        ts = np.frombuffer(self._t, dtype=np.float64)
+        for i in time_order(ts).tolist():
             src_ip, src_port, dst_ip, dst_port = table[self._flow[i]]
             yield self._t[i], TcpSegment(
                 src_ip, src_port, dst_ip, dst_port,

@@ -166,3 +166,25 @@ def test_out_of_order_frames_are_read_in_timestamp_order(tmp_path):
     # the first row in time order is the flow's base: the packets before
     # it in sequence space arrived later, as retransmissions would
     assert list(trace.event_advances) == [1000, 0, 0, 0, 0]
+
+
+def test_full_snaplen_many_flow_payloads_go_to_their_own_flows(tmp_path):
+    """A full-snaplen trace holds a payload on every data row; each row's
+    bytes must land in the head of its own flow, however interleaved."""
+    nflows, per, size = 40, 5, 100
+    path = str(tmp_path / "interleaved.pcap")
+    with open(path, "wb") as f:
+        writer = PcapWriter(f)
+        for k in range(per):
+            for i in range(nflows):
+                seg = TcpSegment(SERVER_IP, 80, CLIENT_IP, 40000 + i,
+                                 seq=1000 + k * size, ack=1, flags=ACK,
+                                 window=65535, payload_len=size,
+                                 payload=bytes([i]) * size)
+                writer.write_packet((k * nflows + i) * 1e-3,
+                                    segment_to_frame(seg))
+    trace = build_download_trace(columns_from_pcap(path), CLIENT_IP,
+                                 SERVER_IP)
+    assert len(trace.flows) == nflows
+    for (_src, _sport, _dst, dport), flow in trace.flows.items():
+        assert bytes(flow.head_bytes) == bytes([dport - 40000]) * size * per

@@ -37,6 +37,9 @@ GOLDEN_PATH = (Path(__file__).resolve().parent.parent
 SCALE = "small"
 SEED = 0
 
+#: Worker processes per experiment; the digests do not depend on it.
+JOBS = 2
+
 #: The experiment whose campaign exports are digested too.
 EXPORT_EXPERIMENT = "fig2"
 
@@ -45,8 +48,7 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def compute(cache_dir: Optional[str] = None, jobs: int = 2,
-            names: Optional[List[str]] = None) -> Dict[str, Dict[str, str]]:
+def compute(cache_dir: Optional[str] = None) -> Dict[str, Dict[str, str]]:
     """Run the experiments and digest their reports and fig2's exports."""
     from repro.experiments import REGISTRY, SCALES
     from repro.obs import CampaignCollector
@@ -55,12 +57,11 @@ def compute(cache_dir: Optional[str] = None, jobs: int = 2,
     scale = SCALES[SCALE]
     experiments: Dict[str, str] = {}
     exports: Dict[str, str] = {}
-    for name in names or list(REGISTRY):
-        spec = REGISTRY[name]
+    for name, spec in REGISTRY.items():
         collector = (CampaignCollector() if name == EXPORT_EXPERIMENT
                      else None)
         with engine_options(observer=collector):
-            result = spec.run(scale, seed=SEED, jobs=jobs, cache=cache_dir)
+            result = spec.run(scale, seed=SEED, jobs=JOBS, cache=cache_dir)
         experiments[name] = sha256(result.report().encode())
         print(f"{name:<20} {experiments[name][:16]}", file=sys.stderr)
         if collector is not None:
@@ -106,11 +107,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="exit 1 if any digest moved")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="session cache to read and fill")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="worker processes (default 2)")
     args = parser.parse_args(argv)
 
-    actual = compute(args.cache_dir, jobs=args.jobs)
+    actual = compute(args.cache_dir)
     if args.write:
         dump(actual)
         print(f"wrote {GOLDEN_PATH}")
